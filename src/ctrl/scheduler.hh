@@ -56,20 +56,6 @@ struct SchedulerConfig
      */
     bool rdbPrefetch = false;
 
-    /**
-     * Gang full channel-width bursts: when a request covers every
-     * module of the channel at the same module word (the natural
-     * shape of a 512-byte channel piece), service the group as one
-     * cross-module sub-op — one scheduling unit whose bus
-     * serialization, program-and-verify and energy costs scale by
-     * word count while fault decisions stay per word. Purely a
-     * simulation-kernel batching knob; it does not change which
-     * module operations are performed. Gangs overlap member array
-     * operations, so they only engage when @ref interleaving grants
-     * that overlap — without it words run strictly one at a time.
-     */
-    bool gangBursts = true;
-
     // The presets use designated initializers on purpose: positional
     // aggregate init silently mis-binds when a field is added or
     // reordered (it already skipped rdbPrefetch once).
@@ -82,8 +68,7 @@ struct SchedulerConfig
                                .selectiveErasing = false,
                                .phaseSkipping = true,
                                .maxQueuePerModule = 64,
-                               .rdbPrefetch = false,
-                               .gangBursts = true};
+                               .rdbPrefetch = false};
     }
 
     /** @return Figure 13 "Interleaving". */
@@ -94,8 +79,7 @@ struct SchedulerConfig
                                .selectiveErasing = false,
                                .phaseSkipping = true,
                                .maxQueuePerModule = 64,
-                               .rdbPrefetch = false,
-                               .gangBursts = true};
+                               .rdbPrefetch = false};
     }
 
     /** @return Figure 13 "selective-erasing". */
@@ -106,8 +90,7 @@ struct SchedulerConfig
                                .selectiveErasing = true,
                                .phaseSkipping = true,
                                .maxQueuePerModule = 64,
-                               .rdbPrefetch = false,
-                               .gangBursts = true};
+                               .rdbPrefetch = false};
     }
 
     /** @return Figure 13 "Final": both techniques (DRAM-less default). */
@@ -118,8 +101,7 @@ struct SchedulerConfig
                                .selectiveErasing = true,
                                .phaseSkipping = true,
                                .maxQueuePerModule = 64,
-                               .rdbPrefetch = false,
-                               .gangBursts = true};
+                               .rdbPrefetch = false};
     }
 
     /** @return a short label for tables. */
