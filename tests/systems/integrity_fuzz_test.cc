@@ -9,7 +9,8 @@
  * tracks the last completed write to every byte. The oracle: every
  * timed read must return exactly the bytes of the most recent write
  * to its range, and a final functional sweep of the whole region must
- * match the shadow byte for byte. Ten seeds, fresh subsystem each.
+ * match the shadow byte for byte. Ten seeds at four and at eight
+ * row buffers, fresh subsystem each.
  *
  * The harness never keeps two in-flight requests whose ranges
  * overlap: the hardware orders same-word accesses, but distinct
@@ -42,9 +43,10 @@ constexpr std::uint32_t kBatch = 16;
 /** Every reliability mechanism on, sized so the fuzz stays fast but
  *  remaps and retries actually happen. */
 SubsystemConfig
-fuzzConfig(std::uint64_t seed)
+fuzzConfig(std::uint64_t seed, std::uint32_t row_buffers)
 {
     SubsystemConfig cfg;
+    cfg.geometry.numRowBuffers = row_buffers;
     cfg.channels = 2;
     cfg.modulesPerChannel = 2;
     cfg.stripeBytes = 128;
@@ -61,15 +63,19 @@ fuzzConfig(std::uint64_t seed)
     return cfg;
 }
 
+/** Parameterized by seed; each test body picks the row-buffer count. */
 class IntegrityFuzz : public ::testing::TestWithParam<std::uint64_t>
 {
+  protected:
+    void fuzz(std::uint32_t row_buffers);
 };
 
-TEST_P(IntegrityFuzz, ReadsReturnLastWrite)
+void
+IntegrityFuzz::fuzz(std::uint32_t row_buffers)
 {
     const std::uint64_t seed = GetParam();
     EventQueue eq;
-    PramSubsystem sys(eq, fuzzConfig(seed), "pram");
+    PramSubsystem sys(eq, fuzzConfig(seed, row_buffers), "pram");
     sys.initialize();
 
     // Shadow model: byte-accurate expected content of the region.
@@ -177,6 +183,20 @@ TEST_P(IntegrityFuzz, ReadsReturnLastWrite)
     EXPECT_GE(sys.subsystemStats().badLineRemaps, 1u);
     EXPECT_LT(sys.subsystemStats().spareLinesUsed, 64u)
         << "spare pool nearly exhausted; retune the fuzz config";
+}
+
+/** Table II's four RAB/RDB pairs. */
+TEST_P(IntegrityFuzz, ReadsReturnLastWrite)
+{
+    fuzz(4);
+}
+
+/** Eight pairs: several RABs may latch the same upper row while only
+ *  one RDB holds the row, so a phase skip must claim the RAB it was
+ *  evaluated on. */
+TEST_P(IntegrityFuzz, ReadsReturnLastWriteWith8RowBuffers)
+{
+    fuzz(8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntegrityFuzz,
