@@ -40,14 +40,17 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 # The dnn suite (ctest label dnn) rides along because its trace
 # source stages deques of items per tile pass and the differential
 # oracle walks every emitted word — the dense-iteration shape where
-# off-by-one indexing would hide.
+# off-by-one indexing would hide. The controller suite joins because
+# the channel controller's issue path erases finished sub-ops from
+# their queues mid-call and indexes per-member RAB claims and payload
+# slices by hand.
 san_dir="$build_dir-asan"
 cmake -B "$san_dir" -S "$repo_root" \
     -DDRAMLESS_SANITIZE=ON \
     -DDRAMLESS_WERROR="${DRAMLESS_WERROR:-OFF}"
 cmake --build "$san_dir" -j "$jobs" --target runner_tests \
     reliability_tests integrity_tests serve_tests pdes_tests \
-    dnn_tests
+    dnn_tests ctrl_tests
 "$san_dir/tests/runner/runner_tests" \
     --gtest_filter='DeterminismTest.*'
 "$san_dir/tests/reliability/reliability_tests"
@@ -55,6 +58,7 @@ cmake --build "$san_dir" -j "$jobs" --target runner_tests \
 "$san_dir/tests/serve/serve_tests"
 "$san_dir/tests/pdes/pdes_tests"
 "$san_dir/tests/workload/dnn_tests"
+"$san_dir/tests/ctrl/ctrl_tests"
 
 # Stage 2b: ThreadSanitizer profile. TSan sees what ASan cannot:
 # data races between the sharded event kernel's worker threads
