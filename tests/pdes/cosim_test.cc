@@ -4,7 +4,12 @@
  * the shards=1 vs shards=N differential (bit-identical ServingResult
  * JSON including the full per-request timestamp table), run-to-run
  * determinism, admission bounds, and timing invariants of the
- * dispatch hop.
+ * dispatch hop, plus a golden pin of a small run's per-request
+ * timeline.
+ *
+ * Regenerate the pin with:
+ *   DRAMLESS_UPDATE_GOLDEN=1 build/tests/pdes/pdes_tests \
+ *       --gtest_filter='CoSimGoldenTest.*'
  */
 
 #include <gtest/gtest.h>
@@ -14,11 +19,16 @@
 #include <string>
 #include <vector>
 
+#include "golden_file.hh"
 #include "serve/arrival.hh"
 #include "serve/cosim.hh"
 #include "sim/json.hh"
 #include "workload/polybench.hh"
 #include "workload/workload_model.hh"
+
+#ifndef DRAMLESS_GOLDEN_DIR
+#error "DRAMLESS_GOLDEN_DIR must point at tests/pdes/golden"
+#endif
 
 namespace dramless
 {
@@ -173,6 +183,49 @@ TEST(CoSimFleetTest, PriorityAndPolicyKnobsChangeOutcomes)
         saw[rec.workloadIndex] = true;
     EXPECT_TRUE(saw[0]);
     EXPECT_TRUE(saw[1]);
+}
+
+/** Render each request's node, service start and completion. */
+void
+emitTimeline(std::ostringstream &os, const char *run,
+             const ServingResult &res)
+{
+    for (const RequestRecord &r : res.records) {
+        os << run << "/" << r.id << " node " << r.node << " start "
+           << r.start << " completion " << r.completion << "\n";
+    }
+}
+
+TEST(CoSimGoldenTest, RequestTimelineMatchesGoldenFile)
+{
+    // Pins the node wiring of SimNode (subsystem, accelerator, address
+    // map, per-agent launch) and both dispatch rules and queue picks
+    // of the frontend: jsq with FIFO queues, and rr with priority
+    // queues fed a burst that overflows some of them.
+    std::ostringstream os;
+    os << "# Golden co-simulated serving timeline. Regenerate with "
+          "DRAMLESS_UPDATE_GOLDEN=1.\n";
+    CoSimConfig cfg = baseConfig();
+    emitTimeline(os, "jsq_fifo",
+                 CoSimFleet(cfg, tinyMix())
+                     .run(poissonSchedule(24, 30000.0, 11)));
+
+    ArrivalConfig ac;
+    ac.numRequests = 24;
+    ac.ratePerSec = 200000.0;
+    ac.seed = 13;
+    ac.mixWeights = {2.0, 1.0};
+    ac.mixPriorities = {0, 1};
+    cfg.fleet.policy = DispatchPolicy::roundRobin;
+    cfg.fleet.queueCapacity = 2;
+    cfg.fleet.priorityScheduling = true;
+    emitTimeline(os, "rr_priority",
+                 CoSimFleet(cfg, tinyMix())
+                     .run(PoissonArrivals(ac).generate()));
+
+    expectMatchesGolden(std::string(DRAMLESS_GOLDEN_DIR) +
+                            "/cosim_timeline.txt",
+                        os.str());
 }
 
 } // anonymous namespace

@@ -14,12 +14,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden_file.hh"
 #include "runner/sweep_runner.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -40,6 +39,21 @@ const std::vector<systems::SystemKind> kGoldenKinds = {
     systems::SystemKind::dramLess,
     systems::SystemKind::integratedSlc,
     systems::SystemKind::hetero,
+    // Appended after the original three so their rows stay in place:
+    // every other integrated organization, then the Figure 13
+    // scheduler variants below.
+    systems::SystemKind::norIntf,
+    systems::SystemKind::integratedMlc,
+    systems::SystemKind::integratedTlc,
+    systems::SystemKind::pageBuffer,
+    systems::SystemKind::dramLessFirmware,
+    systems::SystemKind::ideal,
+};
+
+const std::vector<systems::IntegratedKind> kGoldenVariants = {
+    systems::IntegratedKind::dramLessBareMetal,
+    systems::IntegratedKind::dramLessInterleaving,
+    systems::IntegratedKind::dramLessSelectiveErase,
 };
 
 const std::vector<const char *> kGoldenWorkloads = {"gemver",
@@ -88,6 +102,17 @@ currentSnapshot()
         specs.push_back(workload::Polybench::byName(name));
 
     auto jobs = runner::makeMatrixJobs(kGoldenKinds, specs, opts);
+    for (systems::IntegratedKind v : kGoldenVariants) {
+        for (const auto &spec : specs) {
+            jobs.push_back(runner::SweepJob{
+                systems::integratedKindName(v), spec.name,
+                [v, spec, opts] {
+                    return systems::SystemFactory::
+                        createDramLessVariant(v, opts)
+                            ->run(spec);
+                }});
+        }
+    }
     auto results = runner::SweepRunner(2).run(jobs);
 
     std::ostringstream os;
@@ -107,47 +132,7 @@ goldenPath()
 
 TEST(GoldenTest, Fig16Fig17MetricsMatchGoldenFile)
 {
-    const std::string snapshot = currentSnapshot();
-
-    if (std::getenv("DRAMLESS_UPDATE_GOLDEN")) {
-        std::ofstream out(goldenPath(), std::ios::trunc);
-        ASSERT_TRUE(out.good())
-            << "cannot write golden file " << goldenPath();
-        out << snapshot;
-        out.close();
-        GTEST_SKIP() << "golden file regenerated: " << goldenPath();
-    }
-
-    std::ifstream in(goldenPath());
-    ASSERT_TRUE(in.good())
-        << "missing golden file " << goldenPath()
-        << " — regenerate with DRAMLESS_UPDATE_GOLDEN=1";
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string golden = buf.str();
-
-    if (snapshot == golden)
-        return;
-
-    // Report the first differing line for a readable failure.
-    std::istringstream a(golden), b(snapshot);
-    std::string la, lb;
-    std::size_t lineno = 0;
-    while (true) {
-        bool ga = bool(std::getline(a, la));
-        bool gb = bool(std::getline(b, lb));
-        ++lineno;
-        if (!ga && !gb)
-            break;
-        if (!ga || !gb || la != lb) {
-            FAIL() << "golden mismatch at line " << lineno
-                   << "\n  golden:  " << (ga ? la : "<eof>")
-                   << "\n  current: " << (gb ? lb : "<eof>")
-                   << "\nIf this change is intended, regenerate with "
-                      "DRAMLESS_UPDATE_GOLDEN=1";
-        }
-    }
-    FAIL() << "snapshot differs from golden file";
+    expectMatchesGolden(goldenPath(), currentSnapshot());
 }
 
 TEST(GoldenTest, SnapshotIsStableAcrossRepeatedRuns)

@@ -14,12 +14,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden_file.hh"
 #include "runner/sweep_runner.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -92,46 +91,7 @@ goldenPath()
 
 TEST(DnnGoldenTest, DnnMatrixMatchesGoldenFile)
 {
-    const std::string snapshot = currentSnapshot();
-
-    if (std::getenv("DRAMLESS_UPDATE_GOLDEN")) {
-        std::ofstream out(goldenPath(), std::ios::trunc);
-        ASSERT_TRUE(out.good())
-            << "cannot write golden file " << goldenPath();
-        out << snapshot;
-        out.close();
-        GTEST_SKIP() << "golden file regenerated: " << goldenPath();
-    }
-
-    std::ifstream in(goldenPath());
-    ASSERT_TRUE(in.good())
-        << "missing golden file " << goldenPath()
-        << " — regenerate with DRAMLESS_UPDATE_GOLDEN=1";
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string golden = buf.str();
-
-    if (snapshot == golden)
-        return;
-
-    std::istringstream a(golden), b(snapshot);
-    std::string la, lb;
-    std::size_t lineno = 0;
-    while (true) {
-        bool ga = bool(std::getline(a, la));
-        bool gb = bool(std::getline(b, lb));
-        ++lineno;
-        if (!ga && !gb)
-            break;
-        if (!ga || !gb || la != lb) {
-            FAIL() << "golden mismatch at line " << lineno
-                   << "\n  golden:  " << (ga ? la : "<eof>")
-                   << "\n  current: " << (gb ? lb : "<eof>")
-                   << "\nIf this change is intended, regenerate with "
-                      "DRAMLESS_UPDATE_GOLDEN=1";
-        }
-    }
-    FAIL() << "snapshot differs from golden file";
+    expectMatchesGolden(goldenPath(), currentSnapshot());
 }
 
 TEST(DnnGoldenTest, SnapshotIsStableAcrossRepeatedRuns)
