@@ -85,11 +85,6 @@ CoSimFleet::run(const std::vector<Request> &schedule)
             w += o > 0 ? o - 1 : 0;
         return w;
     };
-    auto hasRoomView = [&](std::uint32_t n) {
-        // Mirrors Fleet::hasRoom (!busy || waiting < capacity), i.e.
-        // room while in-flight + waiting stays within 1 + capacity.
-        return occ_view[n] <= fc.queueCapacity;
-    };
 
     // Completion path: node cluster -> frontend, one hop later.
     for (std::uint32_t n = 0; n < fc.numNodes; ++n) {
@@ -111,8 +106,8 @@ CoSimFleet::run(const std::vector<Request> &schedule)
 
     // Arrival path: every request is an event on the frontend at its
     // arrival tick. Priority 1 orders same-tick completion notices
-    // (priority 0) ahead of arrivals, mirroring Fleet's "a completion
-    // at exactly the arrival tick frees its slot first".
+    // (priority 0) ahead of arrivals: as in Fleet, a completion at
+    // exactly the arrival tick frees its slot first.
     EventPool arrivals(front.eq(), "frontend.arrivals");
     Tick prev_arrival = 0;
     for (std::size_t i = 0; i < schedule.size(); ++i) {
@@ -136,28 +131,9 @@ CoSimFleet::run(const std::vector<Request> &schedule)
                 rec.arrival = req.arrival;
                 rec.dispatch = req.arrival;
 
-                std::int32_t pick = -1;
-                if (fc.policy == DispatchPolicy::roundRobin) {
-                    for (std::uint32_t k = 0; k < fc.numNodes; ++k) {
-                        std::uint32_t cand =
-                            (rr_next + k) % fc.numNodes;
-                        if (hasRoomView(cand)) {
-                            pick = std::int32_t(cand);
-                            rr_next = (cand + 1) % fc.numNodes;
-                            break;
-                        }
-                    }
-                } else {
-                    std::size_t best_occ = 0;
-                    for (std::uint32_t c = 0; c < fc.numNodes; ++c) {
-                        if (pick < 0 || occ_view[c] < best_occ) {
-                            pick = std::int32_t(c);
-                            best_occ = occ_view[c];
-                        }
-                    }
-                    if (!hasRoomView(std::uint32_t(pick)))
-                        pick = -1;
-                }
+                const std::int32_t pick = pickNode(
+                    fc, rr_next,
+                    [&](std::uint32_t n) { return occ_view[n]; });
 
                 if (pick < 0) {
                     rec.rejected = true;

@@ -10,6 +10,7 @@
 #include "sim/event_pool.hh"
 #include "systems/backends.hh"
 #include "systems/energy_accounting.hh"
+#include "systems/node.hh"
 #include "workload/coalesce.hh"
 #include "workload/workload_model.hh"
 
@@ -112,10 +113,7 @@ HeteroSystem::doRun(const workload::WorkloadModel &model)
     DramBackend::Config dcfg; // 1 GiB internal accelerator DRAM
     DramBackend dram(eq_, dcfg, "adram");
 
-    accel::AcceleratorConfig acfg;
-    acfg.numPes = opts_.numPes;
-    acfg.sampleInterval = opts_.sampleInterval;
-    accel::Accelerator accel(eq_, acfg, "accel");
+    accel::Accelerator accel(eq_, acceleratorConfig(opts_), "accel");
     accel.attachBackend(&dram);
 
     Sequencer seq(eq_);

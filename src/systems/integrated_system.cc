@@ -10,7 +10,7 @@
 #include "host/software_stack.hh"
 #include "systems/backends.hh"
 #include "systems/energy_accounting.hh"
-#include "workload/coalesce.hh"
+#include "systems/node.hh"
 #include "workload/workload_model.hh"
 
 namespace dramless
@@ -81,15 +81,6 @@ schedulerFor(IntegratedKind kind)
     }
 }
 
-std::uint64_t
-alignRegion(std::uint64_t v)
-{
-    // Regions align to 4 KiB so distinct regions never share an L2
-    // block (1 KiB): a boundary block's writeback must not touch the
-    // neighbouring region.
-    return (v + 4095) / 4096 * 4096;
-}
-
 } // anonymous namespace
 
 IntegratedSystem::IntegratedSystem(IntegratedKind kind,
@@ -104,11 +95,7 @@ IntegratedSystem::doRun(const workload::WorkloadModel &model)
     const workload::WorkloadSpec &spec = model.spec();
     const std::uint32_t agents = opts_.numPes - 1;
 
-    // ------------------------- address map -------------------------
-    const std::uint64_t input_base = 0;
-    const std::uint64_t output_base = alignRegion(spec.inputBytes);
-    const std::uint64_t image_base =
-        alignRegion(output_base + spec.outputBytes + (1 << 20));
+    const AddressMap map = addressMap(spec);
 
     // --------------------- storage and backend ---------------------
     std::unique_ptr<ctrl::PramSubsystem> pram;
@@ -121,18 +108,8 @@ IntegratedSystem::doRun(const workload::WorkloadModel &model)
     Tick storage_ready = 0;
 
     if (isPramKind(kind_)) {
-        ctrl::SubsystemConfig cfg;
-        cfg.scheduler = opts_.schedulerOverride
-                            ? *opts_.schedulerOverride
-                            : schedulerFor(kind_);
-        if (opts_.geometryOverride)
-            cfg.geometry = *opts_.geometryOverride;
-        cfg.functional = opts_.functional;
-        cfg.wearLeveling = opts_.wearLeveling;
-        cfg.gapMovePeriod = opts_.gapMovePeriod;
-        cfg.reliability = opts_.reliability;
-        pram = std::make_unique<ctrl::PramSubsystem>(eq_, cfg,
-                                                     "pram");
+        pram = std::make_unique<ctrl::PramSubsystem>(
+            eq_, pramConfig(opts_, schedulerFor(kind_)), "pram");
         storage_ready = pram->initialize();
         base_backend = std::make_unique<PramBackend>(*pram);
         backend = base_backend.get();
@@ -157,7 +134,7 @@ IntegratedSystem::doRun(const workload::WorkloadModel &model)
         backend = base_backend.get();
     } else if (kind_ == IntegratedKind::ideal) {
         DramBackend::Config dcfg;
-        dcfg.capacityBytes = image_base + opts_.imageBytes + (1 << 20);
+        dcfg.capacityBytes = map.image + opts_.imageBytes + (1 << 20);
         dram = std::make_unique<DramBackend>(eq_, dcfg, "dram");
         backend = dram.get();
     } else {
@@ -213,15 +190,13 @@ IntegratedSystem::doRun(const workload::WorkloadModel &model)
         ssd = std::make_unique<flash::Ssd>(eq_, scfg, "essd");
         // Inputs are staged in the persistent store before the run,
         // as in the paper's methodology.
-        ssd->populate(input_base, spec.inputBytes);
+        ssd->populate(map.input, spec.inputBytes);
         base_backend = std::make_unique<SsdBackend>(*ssd);
         backend = base_backend.get();
     }
 
     // -------------------------- accelerator ------------------------
-    accel::AcceleratorConfig acfg;
-    acfg.numPes = opts_.numPes;
-    acfg.sampleInterval = opts_.sampleInterval;
+    accel::AcceleratorConfig acfg = acceleratorConfig(opts_);
     if (kind_ == IntegratedKind::norIntf) {
         // No internal DRAM and a byte-granular interface: the PEs
         // fetch fine-grained L2 lines straight from the NOR PRAM
@@ -231,24 +206,9 @@ IntegratedSystem::doRun(const workload::WorkloadModel &model)
     accel::Accelerator accel(eq_, acfg, "accel");
     accel.attachBackend(backend);
 
-    // ---------------------------- traces ---------------------------
     std::vector<std::unique_ptr<workload::AgentTraceSource>> traces;
-    accel::KernelLaunch launch;
-    launch.imageBytes = opts_.imageBytes;
-    launch.imageBase = image_base;
-    for (std::uint32_t i = 0; i < agents; ++i) {
-        workload::AgentTraceParams tp;
-        tp.inputBase = input_base;
-        tp.outputBase = output_base;
-        tp.agentIndex = i;
-        tp.numAgents = agents;
-        tp.seed = opts_.seed;
-        traces.push_back(workload::wrapCoalescing(
-            model.makeAgentTrace(tp), opts_.coalesceBytes));
-        launch.agentTraces.push_back(traces.back().get());
-        launch.outputRegions.push_back(
-            traces.back()->outputRegion());
-    }
+    const accel::KernelLaunch launch =
+        agentLaunch(model, opts_, map, traces);
 
     // ------------------- host-side kernel offload ------------------
     // The host only packs the kernel and pushes it over PCIe
