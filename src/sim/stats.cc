@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
 
 #include "sim/logging.hh"
 
@@ -135,40 +134,6 @@ TimeSeries::downsample(std::size_t max_points) const
                                 sum / double(end - i)});
     }
     return out;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    os << "---------- " << name_ << " ----------\n";
-    for (const auto *s : scalars_) {
-        os << std::left << std::setw(40) << s->name() << " "
-           << s->value();
-        if (!s->desc().empty())
-            os << "   # " << s->desc();
-        os << "\n";
-    }
-    for (const auto *a : averages_) {
-        os << std::left << std::setw(40) << a->name() << " mean="
-           << a->mean() << " min=" << a->min() << " max=" << a->max()
-           << " n=" << a->count();
-        if (!a->desc().empty())
-            os << "   # " << a->desc();
-        os << "\n";
-    }
-    for (const auto *h : histograms_) {
-        os << std::left << std::setw(40) << h->name()
-           << " samples=" << h->totalSamples()
-           << " under=" << h->underflow()
-           << " over=" << h->overflow()
-           << " nan=" << h->nanCount() << "\n";
-        for (std::size_t i = 0; i < h->numBuckets(); ++i) {
-            if (h->bucketCount(i) == 0)
-                continue;
-            os << "    [" << h->bucketLow(i) << ", " << h->bucketHigh(i)
-               << ") " << h->bucketCount(i) << "\n";
-        }
-    }
 }
 
 double

@@ -3,8 +3,7 @@
  * Lightweight statistics package.
  *
  * Components declare named statistics (scalars, averages, histograms,
- * time series) and optionally register them with a StatGroup so a whole
- * system's counters can be dumped in one pass.
+ * time series) and export them through their owners' stats structs.
  */
 
 #ifndef DRAMLESS_SIM_STATS_HH
@@ -12,7 +11,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -213,28 +211,6 @@ class TimeSeries
     std::string name_;
     std::string desc_;
     std::vector<TimePoint> samples_;
-};
-
-/** A named collection of statistics that can be dumped together. */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void add(const Scalar *s) { scalars_.push_back(s); }
-    void add(const Average *a) { averages_.push_back(a); }
-    void add(const Histogram *h) { histograms_.push_back(h); }
-
-    /** Write all registered stats to @p os, one per line. */
-    void dump(std::ostream &os) const;
-
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::vector<const Scalar *> scalars_;
-    std::vector<const Average *> averages_;
-    std::vector<const Histogram *> histograms_;
 };
 
 /**

@@ -7,7 +7,6 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -199,27 +198,6 @@ TEST(TimeSeriesTest, DownsampleEdgeCases)
     TimeSeries empty("e");
     EXPECT_TRUE(empty.downsample(0).empty());
     EXPECT_TRUE(empty.downsample(5).empty());
-}
-
-TEST(StatGroupTest, DumpsRegisteredStats)
-{
-    StatGroup group("test");
-    Scalar s("scalar.one", "a counter");
-    s += 42;
-    Average a("avg.two");
-    a.sample(2.0);
-    Histogram h("hist.three", 0, 10, 2);
-    h.sample(1.0);
-    group.add(&s);
-    group.add(&a);
-    group.add(&h);
-    std::ostringstream os;
-    group.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("scalar.one"), std::string::npos);
-    EXPECT_NE(out.find("42"), std::string::npos);
-    EXPECT_NE(out.find("avg.two"), std::string::npos);
-    EXPECT_NE(out.find("hist.three"), std::string::npos);
 }
 
 // Regression: NaN used to satisfy neither range guard and index

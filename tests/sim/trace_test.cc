@@ -7,7 +7,6 @@
 
 #include <sstream>
 
-#include "sim/counters.hh"
 #include "sim/trace.hh"
 
 namespace dramless
@@ -107,26 +106,6 @@ TEST(SpanTest, NoTracerMeansNoEvent)
     span.finish(90);
     // Nothing to assert beyond not crashing: current() is null.
     EXPECT_EQ(current(), nullptr);
-}
-
-TEST(CounterTest, TracksLevelAndEmits)
-{
-    Counter c(catCtrl, "ch0", "queueDepth");
-    c.inc(5);   // no tracer installed: level still tracks
-    EXPECT_DOUBLE_EQ(c.level(), 1.0);
-    Tracer t;
-    {
-        ScopedTracer scope(&t);
-        c.inc(10);
-        c.dec(20);
-        c.set(30, 7.0);
-    }
-    c.inc(40); // outside the scope again
-    EXPECT_DOUBLE_EQ(c.level(), 8.0);
-    ASSERT_EQ(t.events().size(), 3u);
-    EXPECT_DOUBLE_EQ(t.events()[0].value, 2.0);
-    EXPECT_DOUBLE_EQ(t.events()[1].value, 1.0);
-    EXPECT_DOUBLE_EQ(t.events()[2].value, 7.0);
 }
 
 TEST(ChromeTraceTest, RendersAllPhases)
