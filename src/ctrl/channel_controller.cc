@@ -302,15 +302,8 @@ std::unique_ptr<ChannelController::SubOp>
 ChannelController::makeSubOp(std::uint32_t module, std::uint32_t span,
                              std::uint64_t mword, bool is_write)
 {
-    std::unique_ptr<SubOp> sub;
-    if (spareSubOps_.empty()) {
-        // Only writes fill the payload, so it stays uninitialized.
-        sub = std::make_unique_for_overwrite<SubOp>();
-    } else {
-        sub = std::move(spareSubOps_.back());
-        spareSubOps_.pop_back();
-        static_cast<SubOpState &>(*sub) = SubOpState{};
-    }
+    // Only writes fill the payload, so it stays uninitialized.
+    auto sub = std::make_unique_for_overwrite<SubOp>();
     sub->seq = nextSeq_++;
     sub->module = module;
     sub->span = span;
@@ -658,7 +651,7 @@ ChannelController::issue(SubOp &sub, const Feasibility &f)
             ms.rabBusyUntil[sub.rab[0]] = sub.phaseReadyAt;
             --ms.inFlight;
             ++ms.nextPrefetchWord;
-            recycle(ms.prefetch); // sub is retired now
+            ms.prefetch.reset(); // sub is retired now
         }
         return;
       }
@@ -672,7 +665,7 @@ ChannelController::issue(SubOp &sub, const Feasibility &f)
         ModuleState &ms = moduleStates_[sub.module];
         ++ms.nextPrefetchWord;
         --ms.inFlight;
-        recycle(ms.prefetch);
+        ms.prefetch.reset();
         return; // sub is retired now
     }
     if (sub.phase == Phase::preActive) {
@@ -848,14 +841,7 @@ ChannelController::retire(const SubOp &sub)
     auto it = std::find_if(queue.begin(), queue.end(),
                            [&](const auto &p) { return p.get() == &sub; });
     panic_if(it == queue.end(), "retiring an unqueued sub-op");
-    recycle(*it);
     queue.erase(it);
-}
-
-void
-ChannelController::recycle(std::unique_ptr<SubOp> &sub)
-{
-    spareSubOps_.push_back(std::move(sub));
 }
 
 void
@@ -952,7 +938,6 @@ ChannelController::cancelUnstartedZeroFill(SubOpQueue &queue,
                 moduleStates_[m].hints.emplace_back(mword, mword + 1);
         }
         ++stats_.zeroFillSkipped;
-        recycle(*it);
         it = queue.erase(it);
     }
 }
