@@ -43,22 +43,28 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 # off-by-one indexing would hide. The controller suite joins because
 # the channel controller's issue path erases finished sub-ops from
 # their queues mid-call and indexes per-member RAB claims and payload
-# slices by hand.
+# slices by hand. The facade (core), system-model (systems) and exact
+# golden suites join because every integrated organization, the
+# serving node and the facade build their nodes through the shared
+# wiring in src/systems/node.*, whose launches point into trace
+# vectors the callers own.
 san_dir="$build_dir-asan"
 cmake -B "$san_dir" -S "$repo_root" \
     -DDRAMLESS_SANITIZE=ON \
     -DDRAMLESS_WERROR="${DRAMLESS_WERROR:-OFF}"
 cmake --build "$san_dir" -j "$jobs" --target runner_tests \
     reliability_tests integrity_tests serve_tests pdes_tests \
-    dnn_tests ctrl_tests
+    dnn_tests ctrl_tests core_tests systems_tests
 "$san_dir/tests/runner/runner_tests" \
-    --gtest_filter='DeterminismTest.*'
+    --gtest_filter='DeterminismTest.*:GoldenTest.*'
 "$san_dir/tests/reliability/reliability_tests"
 "$san_dir/tests/systems/integrity_tests"
 "$san_dir/tests/serve/serve_tests"
 "$san_dir/tests/pdes/pdes_tests"
 "$san_dir/tests/workload/dnn_tests"
 "$san_dir/tests/ctrl/ctrl_tests"
+"$san_dir/tests/core/core_tests"
+"$san_dir/tests/systems/systems_tests"
 
 # Stage 2b: ThreadSanitizer profile. TSan sees what ASan cannot:
 # data races between the sharded event kernel's worker threads
