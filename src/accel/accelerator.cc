@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/debug.hh"
+#include "sim/trace.hh"
 
 namespace dramless
 {
@@ -120,28 +120,12 @@ Accelerator::scheduleNextAgent()
         return;
     std::uint32_t idx = nextAgentToSchedule_++;
     Tick now = eventq_.curTick();
-    if (current_.agentsResident) {
-        // Streaming re-launch: the agent still holds the kernel; the
-        // server only flips its run flag and hands it the new chunk.
-        DPRINTFN("Accel", now, name_, "resuming resident agent %u",
-                 idx);
-        Tick go = now + config_.bootAddressStoreLatency;
-        psc_.setState(idx + 1, PowerState::active, go);
-        ProcessingElement &pe = *agents_[idx];
-        pe.setTrace(current_.agentTraces[idx]);
-        pe.start(go);
-        if (activeAgents_++ == 0)
-            metrics_.firstAgentStartAt = go;
-        if (nextAgentToSchedule_ < current_.agentTraces.size())
-            eventq_.reschedule(&serverEvent_, go);
-        return;
-    }
-    DPRINTFN("Accel", now, name_,
-             "PSC scheduling agent %u (sleep/boot-addr/wake)", idx);
     // PSC suspend, boot-address store into the agent's L2, resume.
     Tick asleep = now + config_.agentSleepLatency;
     Tick stored = asleep + config_.bootAddressStoreLatency;
     Tick awake = stored + config_.agentWakeLatency;
+    if (auto *t = trace::current())
+        t->complete(trace::catAccel, name_, "agent.boot", now, awake);
     psc_.setState(idx + 1, PowerState::sleep, asleep);
     psc_.setState(idx + 1, PowerState::active, awake);
     bootAgent(idx, awake);
@@ -188,9 +172,10 @@ Accelerator::agentDone()
         return;
     busy_ = false;
     metrics_.completedAt = eventq_.curTick();
-    DPRINTFN("Accel", metrics_.completedAt, name_,
-             "all %zu agents complete",
-             current_.agentTraces.size());
+    if (auto *t = trace::current()) {
+        t->complete(trace::catAccel, name_, "launch",
+                    metrics_.interruptAt, metrics_.completedAt);
+    }
     sample(); // close the series
     for (std::uint32_t i = 0; i < current_.agentTraces.size(); ++i) {
         metrics_.totalInstructions +=

@@ -64,10 +64,6 @@ struct KernelLaunch
     std::uint64_t imageBase = 0;
     /** Skip the download (image already resident). */
     bool imageResident = false;
-    /** Agents already hold this kernel (streaming re-launch over a
-     *  new data chunk): skip the PSC suspend/boot-address/resume
-     *  sequence and the boot-image reads. */
-    bool agentsResident = false;
     /** Output regions: selective-erasing hints issued while the
      *  server loads the kernel (Section V-A). */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> outputRegions;

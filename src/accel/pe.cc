@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/debug.hh"
 #include "sim/trace.hh"
 
 namespace dramless
@@ -160,10 +159,6 @@ ProcessingElement::step()
                         t->instant(trace::catAccel, name_, "l2.miss",
                                    curTick());
                     }
-                    DPRINTF("PE",
-                            "%s miss addr=0x%llx -> fetch L2 block",
-                            is_store ? "store" : "load",
-                            (unsigned long long)addr);
                     stats_.memAccessCycles += acc;
                     busySinceSample_ += cyclesToTicks(acc);
                     waitingLoad_ = true;
@@ -344,8 +339,6 @@ ProcessingElement::maybeFinish()
         t->complete(trace::catAccel, name_, "kernel", runStart_,
                     curTick());
     }
-    DPRINTF("PE", "kernel complete: %llu instructions",
-            (unsigned long long)stats_.instructions);
     if (onDone_)
         onDone_();
 }

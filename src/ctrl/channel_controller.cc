@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/debug.hh"
 #include "sim/trace.hh"
 
 namespace dramless
@@ -113,10 +112,6 @@ ChannelController::enqueue(const MemRequest &req)
     std::uint64_t id = nextReqId_++;
     const std::uint32_t unit = geom_.rowBufferBytes;
     std::uint32_t words = req.size / unit;
-    DPRINTF("Ctrl", "enqueue %s id=%llu addr=0x%llx words=%u",
-            req.kind == ReqKind::write ? "write" : "read",
-            (unsigned long long)id, (unsigned long long)req.addr,
-            words);
     RequestState &rstate = requests_[id];
     rstate.remainingSubOps = 0;
     rstate.isWrite = (req.kind == ReqKind::write);
@@ -583,10 +578,6 @@ ChannelController::issue(SubOp &sub, const Feasibility &f)
 
     switch (f.effectivePhase) {
       case Phase::preActive: {
-        DPRINTF("Ctrl", "mod%u span=%u %s word=%llu pre-active",
-                sub.module, span,
-                sub.isZeroFill ? "zf" : sub.isPrefetch ? "pf" : "op",
-                (unsigned long long)sub.moduleWord);
         Tick ready = 0;
         for (std::uint32_t i = 0; i < span; ++i) {
             // Pick the least recently used free RAB.
@@ -810,9 +801,6 @@ ChannelController::issue(SubOp &sub, const Feasibility &f)
         // No request to complete.
         stats_.zeroFillPrograms += span;
         stats_.zeroFillVerifyDrops += n_failed;
-        DPRINTF("Ctrl", "mod%u span=%u zero-fill word=%llu durable@%llu",
-                sub.module, span, (unsigned long long)sub.moduleWord,
-                (unsigned long long)durable);
     } else {
         finishSubOp(sub, durable, failed);
     }

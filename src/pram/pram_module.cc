@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "sim/debug.hh"
 #include "sim/trace.hh"
 
 namespace dramless
@@ -97,8 +96,6 @@ PramModule::activate(std::uint32_t ba, std::uint64_t lower_row)
     }
 
     rdb.overlay = false;
-    DPRINTF("Pram", "activate ba=%u partition=%u row=%llu", ba,
-            rab.partition, (unsigned long long)row);
     Partition &part = partitions_[rab.partition];
     panic_if(part.busyUntil > curTick(),
              "%s: activate on busy partition %u (busy until %llu)",
@@ -288,13 +285,6 @@ PramModule::startProgram(Tick start)
                 }
             }
         }
-        DPRINTF("Pram", "program word=%llu partition=%u kind=%s "
-                "latency=%.1fus",
-                (unsigned long long)word_idx, d.partition,
-                kind == ProgramKind::pristineProgram ? "pristine"
-                : kind == ProgramKind::overwrite ? "overwrite"
-                                                 : "reset-only",
-                toUs(latency));
         if (auto *t = trace::current()) {
             t->complete(trace::catPram, name_,
                         kind == ProgramKind::pristineProgram

@@ -2,16 +2,18 @@
  * @file
  * Tests of the accelerator's kernel offload and execution model
  * (Figure 9b): image download, PSC-staggered agent boot, completion,
- * IPC sampling and selective-erase hinting.
+ * IPC sampling, selective-erase hinting and trace events.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "accel/accelerator.hh"
 #include "fake_backend.hh"
+#include "sim/trace.hh"
 
 namespace dramless
 {
@@ -119,6 +121,42 @@ TEST_F(AcceleratorTest, AgentsBootStaggeredByPsc)
     for (std::uint32_t i = 1; i <= 4; ++i)
         EXPECT_GT(a.psc().residency(i, PowerState::active, completed),
                   0u);
+}
+
+TEST_F(AcceleratorTest, TracesAgentBootsAndTheLaunch)
+{
+    trace::Tracer tracer;
+    trace::ScopedTracer scope(&tracer);
+    Accelerator &a = make();
+    auto t1 = simpleTrace(1 << 20);
+    auto t2 = simpleTrace(2 << 20);
+    KernelLaunch launch;
+    launch.agentTraces = {t1.get(), t2.get()};
+    a.launch(launch, [](Tick) {});
+    eq.run();
+    std::vector<trace::Event> boots;
+    std::vector<trace::Event> launches;
+    for (const trace::Event &e : tracer.events()) {
+        if (e.track != a.name())
+            continue;
+        EXPECT_EQ(std::string(e.category), trace::catAccel);
+        EXPECT_EQ(e.ph, trace::Event::Ph::complete);
+        if (std::string(e.name) == "agent.boot")
+            boots.push_back(e);
+        else if (std::string(e.name) == "launch")
+            launches.push_back(e);
+    }
+    ASSERT_EQ(boots.size(), 2u);
+    // PSC suspend, boot-address store and resume, one agent at a time.
+    const AcceleratorConfig &cfg = a.config();
+    const Tick boot = cfg.agentSleepLatency +
+                      cfg.bootAddressStoreLatency +
+                      cfg.agentWakeLatency;
+    EXPECT_EQ(boots[0].end - boots[0].start, boot);
+    EXPECT_EQ(boots[1].start, boots[0].end);
+    ASSERT_EQ(launches.size(), 1u);
+    EXPECT_EQ(launches[0].start, a.metrics().interruptAt);
+    EXPECT_EQ(launches[0].end, a.metrics().completedAt);
 }
 
 TEST_F(AcceleratorTest, OutputRegionHintsReachBackend)
