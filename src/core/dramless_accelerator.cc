@@ -143,7 +143,7 @@ DramLessAccelerator::readData(std::uint64_t addr, void *dst,
                            });
     }
     runUntilDone(done);
-    pcie_->transfer(size, eq_.curTick());
+    eq_.runUntil(pcie_->transfer(size, eq_.curTick()));
     if (config_.functional)
         pram_->functionalRead(addr, dst, size);
 }

@@ -108,7 +108,11 @@ class DramLessAccelerator
     void writeData(std::uint64_t addr, const void *src,
                    std::uint64_t size);
 
-    /** Host-initiated timed read of PRAM contents. */
+    /**
+     * Host-initiated timed read: the server reads @p size bytes at
+     * @p addr from the PRAM and pushes them over PCIe to the host.
+     * Returns once the data has reached the host.
+     */
     void readData(std::uint64_t addr, void *dst, std::uint64_t size);
 
     /** Untimed staging backdoor: place a dataset in the PRAM as the

@@ -128,6 +128,19 @@ TEST_F(FacadeTest, WriteReadDataRoundTrip)
     EXPECT_EQ(out, data);
 }
 
+TEST_F(FacadeTest, ReadDataWaitsForThePcieReturn)
+{
+    DramLessAccelerator dl(quickConfig());
+    std::vector<std::uint8_t> data(512, 0x42);
+    dl.writeData(0x10000, data.data(), data.size());
+    Tick before = dl.now();
+    dl.readData(0x10000, data.data(), data.size());
+    const host::PcieConfig pcie{};
+    EXPECT_GE(dl.now() - before,
+              pcie.perTransferLatency +
+                  serializationTicks(512, pcie.bytesPerSec));
+}
+
 TEST_F(FacadeTest, StageAndFetchAreUntimed)
 {
     DramLessAccelerator dl(quickConfig());
