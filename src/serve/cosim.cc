@@ -19,23 +19,23 @@ namespace
 /** Request descriptor / completion message size on the wire. */
 constexpr std::uint64_t kDescriptorBytes = 64;
 
-} // anonymous namespace
-
+/** @return the dispatcher<->node hop latency: the PCIe per-transfer
+ *  latency plus the wire time of a request descriptor. */
 Tick
-cosimHopLatency(const CoSimConfig &cfg)
+cosimHopLatency()
 {
-    if (cfg.hopLatency != 0)
-        return cfg.hopLatency;
     host::PcieConfig pcie;
     return pcie.perTransferLatency +
            serializationTicks(kDescriptorBytes, pcie.bytesPerSec);
 }
 
+} // anonymous namespace
+
 CoSimFleet::CoSimFleet(
     CoSimConfig cfg,
     std::vector<std::shared_ptr<const workload::WorkloadModel>> mix)
     : config_(std::move(cfg)), mix_(std::move(mix)),
-      hop_(cosimHopLatency(config_))
+      hop_(cosimHopLatency())
 {
     fatal_if(config_.fleet.numNodes == 0,
              "cosim fleet needs at least one node");

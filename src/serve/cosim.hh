@@ -56,18 +56,7 @@ struct CoSimConfig
     /** Per-node system knobs; `node.shards` selects the PDES worker
      *  count for run() (0 = one per host core, 1 = serial). */
     systems::SystemOptions node;
-    /** Dispatcher<->node link latency override; 0 derives it from the
-     *  default PcieConfig (per-transfer latency + descriptor
-     *  serialization). This is also the PDES lookahead. */
-    Tick hopLatency = 0;
 };
-
-/**
- * @return the dispatcher<->node hop latency implied by @p cfg: the
- * configured override, or the PCIe per-transfer latency plus the wire
- * time of a 64-byte request descriptor.
- */
-Tick cosimHopLatency(const CoSimConfig &cfg);
 
 /**
  * N cycle-level SimNodes behind an admission/dispatch frontend,
@@ -82,7 +71,9 @@ class CoSimFleet
 
     const CoSimConfig &config() const { return config_; }
 
-    /** @return the hop latency / PDES lookahead in use. */
+    /** @return the dispatcher<->node hop latency, which is also the
+     *  PDES lookahead: the default PcieConfig's per-transfer latency
+     *  plus the wire time of a 64-byte request descriptor. */
     Tick hopLatency() const { return hop_; }
 
     /**

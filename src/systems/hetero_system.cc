@@ -38,6 +38,13 @@ heteroKindName(HeteroKind kind)
 namespace
 {
 
+/**
+ * Chunks a heterogeneous run is split into: captures the paper's
+ * data-volume-to-device-buffer ratio (volumes were grown to roughly
+ * 8x the 1 GiB device buffers).
+ */
+constexpr std::uint32_t heteroChunks = 8;
+
 bool
 isDirect(HeteroKind kind)
 {
@@ -81,25 +88,22 @@ HeteroSystem::doRun(const workload::WorkloadModel &model)
     RunResult res;
     const workload::WorkloadSpec &spec = model.spec();
     const std::uint32_t agents = opts_.numPes - 1;
-    const std::uint32_t chunks = std::max<std::uint32_t>(
-        1, opts_.heteroChunks);
     // The chunk model knows how the workload splits: regular kernels
-    // shrink by 1/chunks, data-dependent ones (graphs) keep the
+    // shrink by 1/heteroChunks, data-dependent ones (graphs) keep the
     // shared state every chunk must re-stage.
     std::shared_ptr<const workload::WorkloadModel> chunk_model =
-        model.chunked(chunks);
+        model.chunked(heteroChunks);
     const workload::WorkloadSpec &chunk_spec = chunk_model->spec();
 
     // --------------------------- components ------------------------
     flash::SsdConfig scfg = isPramSsd(kind_)
                                 ? flash::SsdConfig::optane()
                                 : flash::SsdConfig::slc();
-    // Preserve the paper's data:buffer ratio — volumes were grown to
-    // roughly 8x the 1 GiB device buffers, so the buffer scales with
+    // Preserve the paper's data:buffer ratio: the buffer scales with
     // the (scaled) workload instead of swallowing it whole.
     scfg.buffer.capacityBytes = std::max<std::uint64_t>(
         std::uint64_t(4) * scfg.buffer.pageBytes,
-        spec.totalBytes() / opts_.heteroChunks / scfg.buffer.pageBytes *
+        spec.totalBytes() / heteroChunks / scfg.buffer.pageBytes *
             scfg.buffer.pageBytes);
     flash::Ssd ssd(eq_, scfg, "ssd");
     ssd.populate(0, spec.inputBytes);
@@ -147,10 +151,6 @@ HeteroSystem::doRun(const workload::WorkloadModel &model)
             // 3. PCIe transfer into the accelerator DRAM.
             Tick arrived =
                 pcie.transfer(chunk_spec.inputBytes, t);
-            if (!isDirect(kind_)) {
-                // Staged path crosses PCIe twice (SSD->host DRAM
-                // happened inside the SSD read; host->accel here).
-            }
             seq.at(arrived, [&]() {
                 // 4. Execute this chunk's kernels.
                 accel.invalidateAgentCaches();
@@ -160,9 +160,7 @@ HeteroSystem::doRun(const workload::WorkloadModel &model)
                 launch.imageResident = chunk > 0;
                 // Traditional offload re-coordinates the kernels for
                 // every chunk with host assistance (Section IV), so
-                // the PSC boot sequence is paid each time; the
-                // agentsResident fast path models what the paper's
-                // streaming model avoids and stays off here.
+                // the PSC boot sequence is paid each time.
                 for (std::uint32_t i = 0; i < agents; ++i) {
                     workload::AgentTraceParams tp;
                     tp.inputBase = 0;
@@ -209,7 +207,7 @@ HeteroSystem::doRun(const workload::WorkloadModel &model)
                                 ssd_wait += r2.completedAt -
                                             store_started;
                                 ++chunk;
-                                if (chunk < chunks) {
+                                if (chunk < heteroChunks) {
                                     seq.at(r2.completedAt,
                                            start_chunk);
                                 } else {

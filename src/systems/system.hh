@@ -43,12 +43,6 @@ struct SystemOptions
     /** Kernel image size shipped per launch (TI C66x kernel code
      *  segments are compact). */
     std::uint64_t imageBytes = 16 * 1024;
-    /**
-     * Chunks a heterogeneous run is split into: captures the paper's
-     * data-volume-to-accelerator-DRAM ratio (volumes were grown 10x
-     * to exceed the 1 GiB device buffers).
-     */
-    std::uint32_t heteroChunks = 8;
     /** Override the DRAM-less scheduler (Figure 13 variants). */
     std::optional<ctrl::SchedulerConfig> schedulerOverride;
     /** Override the PRAM geometry (ablation studies). */
