@@ -23,20 +23,6 @@ wordsFor(std::uint64_t elems, std::uint32_t unit)
     return (elems * kSlot + unit - 1) / unit;
 }
 
-/** Split [begin, end) into numAgents contiguous pieces, spreading
- *  the remainder over the first agents. */
-std::pair<std::uint32_t, std::uint32_t>
-partition(std::uint32_t begin, std::uint32_t end, std::uint32_t agent,
-          std::uint32_t agents)
-{
-    std::uint32_t total = end - begin;
-    std::uint32_t per = total / agents;
-    std::uint32_t extra = total % agents;
-    std::uint32_t first =
-        begin + agent * per + std::min(agent, extra);
-    return {first, first + per + (agent < extra ? 1 : 0)};
-}
-
 std::uint32_t
 scaleDim(std::uint32_t v, double factor)
 {
@@ -324,8 +310,8 @@ DnnWorkload::ownedChannels(std::uint32_t l) const
 {
     // Chunk 0 is the representative piece: the hetero pipeline runs
     // the same chunk model once per chunk launch.
-    return partition(0, model_->layers()[l].outChannels, 0,
-                     chunkCount_);
+    return agentSlice(0, model_->layers()[l].outChannels, 0,
+                      chunkCount_);
 }
 
 void
@@ -450,7 +436,7 @@ DnnWorkload::makeAgentTrace(const AgentTraceParams &p) const
     for (std::uint32_t l = 0; l < model_->numLayers(); ++l) {
         auto [k0, k1] = ownedChannels(l);
         owned.push_back(
-            partition(k0, k1, p.agentIndex, p.numAgents));
+            agentSlice(k0, k1, p.agentIndex, p.numAgents));
     }
     return std::make_unique<DnnTraceSource>(
         model_, layout, std::move(owned), model_->config().batch);

@@ -26,20 +26,6 @@ roundUp(std::uint64_t v, std::uint64_t unit)
     return (v + unit - 1) / unit * unit;
 }
 
-/** Split [begin, end) into numAgents contiguous pieces, spreading
- *  the remainder over the first agents. */
-std::pair<std::uint64_t, std::uint64_t>
-partition(std::uint64_t begin, std::uint64_t end,
-          std::uint32_t agent, std::uint32_t agents)
-{
-    std::uint64_t total = end - begin;
-    std::uint64_t per = total / agents;
-    std::uint64_t extra = total % agents;
-    std::uint64_t first =
-        begin + agent * per + std::min<std::uint64_t>(agent, extra);
-    return {first, first + per + (agent < extra ? 1 : 0)};
-}
-
 } // anonymous namespace
 
 // ------------------------------ model ------------------------------
@@ -269,7 +255,7 @@ GraphWorkload::chunked(std::uint32_t chunks) const
                               ownedEnd_));
     }
     auto [begin, end] =
-        partition(ownedBegin_, ownedEnd_, 0, chunks);
+        agentSlice(ownedBegin_, ownedEnd_, 0, chunks);
     if (begin >= end)
         end = begin + 1;
     auto copy = std::shared_ptr<GraphWorkload>(
@@ -288,8 +274,8 @@ GraphWorkload::makeAgentTrace(const AgentTraceParams &p) const
     GraphLayout layout = GraphLayout::of(
         *graph_, config_.kernel, p.accessBytes, p.inputBase,
         p.outputBase);
-    auto [begin, end] = partition(ownedBegin_, ownedEnd_,
-                                  p.agentIndex, p.numAgents);
+    auto [begin, end] = agentSlice(ownedBegin_, ownedEnd_,
+                                   p.agentIndex, p.numAgents);
     return std::make_unique<GraphTraceSource>(
         graph_, config_.kernel,
         std::max<std::uint32_t>(1, config_.iterations), layout,

@@ -20,20 +20,14 @@ PolybenchTraceSource::PolybenchTraceSource(
              "access size must be a positive multiple of 32");
 
     const std::uint32_t unit = cfg_.accessBytes;
-    // Partition whole access units across agents, spreading the
-    // remainder over the first agents so the union of slices covers
-    // every full unit exactly once (flooring each slice used to drop
-    // up to numAgents-1 units at the partition tail). Sub-unit
-    // residue is unaddressable at PE granularity and stays dropped.
+    // Partition whole access units across agents. Sub-unit residue is
+    // unaddressable at PE granularity and stays dropped.
     auto slice = [&](std::uint64_t total_bytes, std::uint64_t &base,
                      std::uint64_t &size) {
         std::uint64_t units = total_bytes / unit;
-        std::uint64_t per = units / cfg_.numAgents;
-        std::uint64_t extra = units % cfg_.numAgents;
-        std::uint64_t first =
-            cfg_.agentIndex * per +
-            std::min<std::uint64_t>(cfg_.agentIndex, extra);
-        std::uint64_t count = per + (cfg_.agentIndex < extra ? 1 : 0);
+        auto [first, last] =
+            agentSlice(0, units, cfg_.agentIndex, cfg_.numAgents);
+        std::uint64_t count = last - first;
         if (count == 0) {
             // Degenerate volume: alias the last unit so every agent
             // still has work (and never reads past the region).

@@ -15,6 +15,7 @@
 #ifndef DRAMLESS_WORKLOAD_WORKLOAD_MODEL_HH
 #define DRAMLESS_WORKLOAD_WORKLOAD_MODEL_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -43,6 +44,26 @@ struct AgentTraceParams
     std::uint32_t accessBytes = 32;
     std::uint64_t seed = 1;
 };
+
+/**
+ * Split [begin, end) into @p agents contiguous pieces, spreading the
+ * remainder over the first agents, so the pieces cover every element
+ * exactly once. A piece is empty when there are more agents than
+ * elements.
+ *
+ * @return agent @p agent's piece [first, last).
+ */
+inline std::pair<std::uint64_t, std::uint64_t>
+agentSlice(std::uint64_t begin, std::uint64_t end, std::uint32_t agent,
+           std::uint32_t agents)
+{
+    const std::uint64_t total = end - begin;
+    const std::uint64_t per = total / agents;
+    const std::uint64_t extra = total % agents;
+    const std::uint64_t first =
+        begin + agent * per + std::min<std::uint64_t>(agent, extra);
+    return {first, first + per + (agent < extra ? 1 : 0)};
+}
 
 /**
  * A per-agent trace stream with the extra surface the system models
