@@ -47,14 +47,18 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 # golden suites join because every integrated organization, the
 # serving node and the facade build their nodes through the shared
 # wiring in src/systems/node.*, whose launches point into trace
-# vectors the callers own.
+# vectors the callers own. The kernel (sim) and accelerator (accel)
+# suites join because the tracer, the only event-recording path,
+# stores raw category and event-name pointers (the string-literal
+# contract in sim/trace.hh): a name that dangles shows up here.
 san_dir="$build_dir-asan"
 cmake -B "$san_dir" -S "$repo_root" \
     -DDRAMLESS_SANITIZE=ON \
     -DDRAMLESS_WERROR="${DRAMLESS_WERROR:-OFF}"
 cmake --build "$san_dir" -j "$jobs" --target runner_tests \
     reliability_tests integrity_tests serve_tests pdes_tests \
-    dnn_tests ctrl_tests core_tests systems_tests
+    dnn_tests ctrl_tests core_tests systems_tests sim_tests \
+    accel_tests
 "$san_dir/tests/runner/runner_tests" \
     --gtest_filter='DeterminismTest.*:GoldenTest.*'
 "$san_dir/tests/reliability/reliability_tests"
@@ -65,6 +69,8 @@ cmake --build "$san_dir" -j "$jobs" --target runner_tests \
 "$san_dir/tests/ctrl/ctrl_tests"
 "$san_dir/tests/core/core_tests"
 "$san_dir/tests/systems/systems_tests"
+"$san_dir/tests/sim/sim_tests"
+"$san_dir/tests/accel/accel_tests"
 
 # Stage 2b: ThreadSanitizer profile. TSan sees what ASan cannot:
 # data races between the sharded event kernel's worker threads
