@@ -40,7 +40,7 @@ Accelerator::Accelerator(EventQueue &eq,
 }
 
 void
-Accelerator::attachBackend(MemoryBackend *backend)
+Accelerator::attachBackend(ctrl::MemoryBackend *backend)
 {
     backend_ = backend;
     mcu_->attachBackend(backend);

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "accel/backend.hh"
 #include "accel/mcu.hh"
 #include "accel/pe.hh"
 #include "accel/psc.hh"
@@ -87,7 +86,7 @@ class Accelerator
                 std::string name);
 
     /** Wire the storage backend into the server's MCU. */
-    void attachBackend(MemoryBackend *backend);
+    void attachBackend(ctrl::MemoryBackend *backend);
 
     /**
      * Offload and execute a kernel (the host-side pushData of
@@ -163,7 +162,7 @@ class Accelerator
     std::unique_ptr<Mcu> mcu_;
     std::vector<std::unique_ptr<ProcessingElement>> agents_;
     PowerSleepController psc_;
-    MemoryBackend *backend_ = nullptr;
+    ctrl::MemoryBackend *backend_ = nullptr;
 
     bool busy_ = false;
     KernelLaunch current_;

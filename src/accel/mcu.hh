@@ -18,7 +18,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "accel/backend.hh"
+#include "ctrl/request.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/stats.hh"
@@ -61,13 +61,12 @@ class Mcu
 
     /** Attach the storage backend; registers the MCU's callback. */
     void
-    attachBackend(MemoryBackend *backend)
+    attachBackend(ctrl::MemoryBackend *backend)
     {
         backend_ = backend;
-        backend_->setCallback(
-            [this](std::uint64_t id, Tick when) {
-                onComplete(id, when);
-            });
+        backend_->setCallback([this](const ctrl::MemResponse &r) {
+            onComplete(r.id, r.completedAt);
+        });
     }
 
     /** Issue a read; @p on_done fires at data return. */
@@ -76,9 +75,9 @@ class Mcu
     {
         ++stats_.reads;
         stats_.bytesRead += size;
-        queue_.push_back(
-            Pending{addr, size, false, std::move(on_done),
-                    eventq_.curTick()});
+        queue_.push_back(Pending{{ctrl::ReqKind::read, addr, size},
+                                 std::move(on_done),
+                                 eventq_.curTick()});
         drain();
     }
 
@@ -92,9 +91,9 @@ class Mcu
     {
         ++stats_.writes;
         stats_.bytesWritten += size;
-        queue_.push_back(
-            Pending{addr, size, true, std::move(on_done),
-                    eventq_.curTick()});
+        queue_.push_back(Pending{{ctrl::ReqKind::write, addr, size},
+                                 std::move(on_done),
+                                 eventq_.curTick()});
         drain();
     }
 
@@ -122,9 +121,7 @@ class Mcu
   private:
     struct Pending
     {
-        std::uint64_t addr;
-        std::uint32_t size;
-        bool isWrite;
+        ctrl::MemRequest req;
         DoneCallback onDone;
         Tick issued;
     };
@@ -149,12 +146,13 @@ class Mcu
                 return;
             }
             Pending &head = queue_.front();
-            if (!backend_->canAccept(head.size))
+            if (!backend_->canAccept(head.req))
                 return; // resume on a completion
-            std::uint64_t id =
-                backend_->submit(head.addr, head.size, head.isWrite);
-            inflight_[id] = Inflight{std::move(head.onDone),
-                                     head.isWrite, head.issued};
+            std::uint64_t id = backend_->enqueue(head.req);
+            inflight_[id] =
+                Inflight{std::move(head.onDone),
+                         head.req.kind == ctrl::ReqKind::write,
+                         head.issued};
             queue_.pop_front();
             busyUntil_ = now + config_.requestOverhead;
             now = eventq_.curTick();
@@ -182,7 +180,7 @@ class Mcu
     EventQueue &eventq_;
     McuConfig config_;
     std::string name_;
-    MemoryBackend *backend_ = nullptr;
+    ctrl::MemoryBackend *backend_ = nullptr;
     std::deque<Pending> queue_;
     std::unordered_map<std::uint64_t, Inflight> inflight_;
     Tick busyUntil_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "systems/backends.hh"
 #include "systems/energy_accounting.hh"
 #include "systems/node.hh"
 #include "workload/workload_model.hh"
@@ -42,11 +41,9 @@ DramLessAccelerator::DramLessAccelerator(const DramLessConfig &config)
         eq_, systems::pramConfig(opts, config.scheduler), "pram");
     readyAt_ = pram_->initialize();
 
-    backend_ = std::make_unique<systems::PramBackend>(*pram_);
-
     accel_ = std::make_unique<accel::Accelerator>(
         eq_, systems::acceleratorConfig(opts), "accel");
-    accel_->attachBackend(backend_.get());
+    accel_->attachBackend(pram_.get());
 
     stack_ = std::make_unique<host::SoftwareStack>(
         host::StackConfig::conventional(), "host");

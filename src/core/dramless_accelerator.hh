@@ -32,11 +32,6 @@
 
 namespace dramless
 {
-namespace systems
-{
-class PramBackend;
-} // namespace systems
-
 namespace core
 {
 
@@ -173,7 +168,6 @@ class DramLessAccelerator
     DramLessConfig config_;
     EventQueue eq_;
     std::unique_ptr<ctrl::PramSubsystem> pram_;
-    std::unique_ptr<systems::PramBackend> backend_;
     std::unique_ptr<accel::Accelerator> accel_;
     std::unique_ptr<host::SoftwareStack> stack_;
     std::unique_ptr<host::PcieLink> pcie_;

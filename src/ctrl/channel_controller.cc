@@ -46,8 +46,8 @@ ChannelController::ChannelController(EventQueue &eq,
       name_(std::move(name)),
       geom_(geom),
       phy_(eq, timing.tCK),
-      schedulerEvent_(this, name_ + ".sched"),
-      completionEvent_(this, name_ + ".completion")
+      completions_(eq, this, name_ + ".completion"),
+      schedulerEvent_(this, name_ + ".sched")
 {
     fatal_if(num_modules == 0, "channel needs at least one module");
     fatal_if(num_modules > maxModules,
@@ -452,7 +452,7 @@ ChannelController::evaluate(const SubOp &sub) const
     }
 
     Phase phase = sub.phase;
-    if (phase == Phase::preActive && config_.phaseSkipping) {
+    if (phase == Phase::preActive) {
         // Look for row-buffer hits enabling phase skips. Phases
         // broadcast to every member in lockstep, so the sub-op skips
         // only as far as every member can. Each member's first free
@@ -848,7 +848,7 @@ ChannelController::finishSubOp(const SubOp &sub, Tick when,
                             geom_.rowBufferBytes;
     }
     if (--rstate.remainingSubOps == 0)
-        pushCompletion(rstate.latestCompletion, sub.reqId);
+        completions_.push(rstate.latestCompletion, sub.reqId);
 }
 
 void
@@ -865,47 +865,28 @@ ChannelController::configureReliability(
 }
 
 void
-ChannelController::pushCompletion(Tick when, std::uint64_t req_id)
+ChannelController::completeRequest(const std::uint64_t &req_id,
+                                   Tick now)
 {
-    completions_[when].push_back(req_id);
-    eventQueue().reschedule(&completionEvent_,
-                            completions_.begin()->first);
-}
-
-void
-ChannelController::completionTrigger()
-{
-    const Tick now = curTick();
-    while (!completions_.empty() &&
-           completions_.begin()->first <= now) {
-        auto ids = std::move(completions_.begin()->second);
-        completions_.erase(completions_.begin());
-        for (std::uint64_t id : ids) {
-            auto it = requests_.find(id);
-            panic_if(it == requests_.end(), "completing unknown req");
-            RequestState rstate = it->second;
-            requests_.erase(it);
-            double lat_ns = toNs(now - rstate.enqueuedAt);
-            if (rstate.isWrite)
-                stats_.writeLatencyNs.sample(lat_ns);
-            else
-                stats_.readLatencyNs.sample(lat_ns);
-            if (auto *t = trace::current()) {
-                t->complete(trace::catCtrl, name_,
-                            rstate.isWrite ? "req.write" : "req.read",
-                            rstate.enqueuedAt, now);
-                t->counter(trace::catCtrl, name_, "demandQueueDepth",
-                           now, double(queuedSubOps()));
-            }
-            if (callback_) {
-                callback_(MemResponse{id, now, rstate.failed,
-                                      rstate.failedAddr});
-            }
-        }
+    auto it = requests_.find(req_id);
+    panic_if(it == requests_.end(), "completing unknown req");
+    RequestState rstate = it->second;
+    requests_.erase(it);
+    double lat_ns = toNs(now - rstate.enqueuedAt);
+    if (rstate.isWrite)
+        stats_.writeLatencyNs.sample(lat_ns);
+    else
+        stats_.readLatencyNs.sample(lat_ns);
+    if (auto *t = trace::current()) {
+        t->complete(trace::catCtrl, name_,
+                    rstate.isWrite ? "req.write" : "req.read",
+                    rstate.enqueuedAt, now);
+        t->counter(trace::catCtrl, name_, "demandQueueDepth", now,
+                   double(queuedSubOps()));
     }
-    if (!completions_.empty()) {
-        eventQueue().reschedule(&completionEvent_,
-                                completions_.begin()->first);
+    if (callback_) {
+        callback_(MemResponse{req_id, now, rstate.failed,
+                              rstate.failedAddr});
     }
 }
 

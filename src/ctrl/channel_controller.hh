@@ -21,7 +21,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -35,6 +34,7 @@
 #include "pram/pram_module.hh"
 #include "reliability/fault_model.hh"
 #include "sim/clocked.hh"
+#include "sim/completion_queue.hh"
 #include "sim/stats.hh"
 
 namespace dramless
@@ -420,9 +420,8 @@ class ChannelController : public Clocked
     /** Remove the finished @p sub from its queue, which frees it. */
     void retire(const SubOp &sub);
 
-    /** Completion event machinery. */
-    void completionTrigger();
-    void pushCompletion(Tick when, std::uint64_t req_id);
+    /** Retire request @p req_id, due now, and report it. */
+    void completeRequest(const std::uint64_t &req_id, Tick now);
 
     SchedulerConfig config_;
     std::string name_;
@@ -442,7 +441,9 @@ class ChannelController : public Clocked
      *  demand traffic like the per-module zero-fills). */
     SubOpQueue gangZeroFills_;
     std::unordered_map<std::uint64_t, RequestState> requests_;
-    std::map<Tick, std::vector<std::uint64_t>> completions_;
+    CompletionQueue<ChannelController, std::uint64_t,
+                    &ChannelController::completeRequest>
+        completions_;
     CompletionCallback callback_;
     std::uint64_t nextReqId_ = 1;
     std::uint64_t nextSeq_ = 1;
@@ -450,9 +451,6 @@ class ChannelController : public Clocked
     ControllerStats stats_;
     MemberEvent<ChannelController, &ChannelController::schedule>
         schedulerEvent_;
-    MemberEvent<ChannelController,
-                &ChannelController::completionTrigger>
-        completionEvent_;
     bool inSchedule_ = false;
     /** Reliability knobs; faults_ engaged only when enabled. */
     reliability::ReliabilityConfig relCfg_;

@@ -74,6 +74,22 @@ PramSubsystem::capacity() const
     return (physicalStripes_ - spareCount_) * config_.stripeBytes;
 }
 
+template <typename Fn>
+bool
+PramSubsystem::forEachPiece(std::uint64_t addr, std::uint64_t len,
+                            Fn &&fn) const
+{
+    const std::uint64_t end = addr + len;
+    while (addr < end) {
+        const std::uint64_t piece_end = std::min(
+            end, (addr / config_.stripeBytes + 1) * config_.stripeBytes);
+        if (!fn(addr, piece_end - addr))
+            return false;
+        addr = piece_end;
+    }
+    return true;
+}
+
 std::pair<std::uint32_t, std::uint64_t>
 PramSubsystem::route(std::uint64_t addr) const
 {
@@ -120,21 +136,14 @@ PramSubsystem::remap(std::uint64_t addr) const
 bool
 PramSubsystem::canAccept(const MemRequest &req) const
 {
-    std::uint64_t addr = req.addr;
-    std::uint64_t end = req.addr + req.size;
-    while (addr < end) {
-        std::uint64_t stripe_end =
-            (addr / config_.stripeBytes + 1) * config_.stripeBytes;
-        std::uint64_t piece_end = std::min(end, stripe_end);
+    return forEachPiece(req.addr, req.size,
+                        [&](std::uint64_t addr, std::uint64_t len) {
         auto [ch, chan_addr] = route(remap(addr));
         MemRequest piece = req;
         piece.addr = chan_addr;
-        piece.size = std::uint32_t(piece_end - addr);
-        if (!channels_[ch]->canAccept(piece))
-            return false;
-        addr = piece_end;
-    }
-    return true;
+        piece.size = std::uint32_t(len);
+        return channels_[ch]->canAccept(piece);
+    });
 }
 
 std::uint64_t
@@ -163,17 +172,22 @@ PramSubsystem::enqueue(const MemRequest &req)
     }
 
     // Split at stripe boundaries; each piece lands on one channel.
-    std::vector<MemRequest> pieces;
-    std::uint64_t addr = req.addr;
-    std::uint64_t end = req.addr + req.size;
-    while (addr < end) {
-        std::uint64_t stripe_end =
-            (addr / config_.stripeBytes + 1) * config_.stripeBytes;
-        std::uint64_t piece_end = std::min(end, stripe_end);
+    const std::uint64_t pieces =
+        (req.addr + req.size - 1) / config_.stripeBytes -
+        req.addr / config_.stripeBytes + 1;
+    outer.remainingPieces = std::uint32_t(pieces);
+    if (auto *t = trace::current()) {
+        t->counter(trace::catCtrl, name_, "stripePieces",
+                   eventq_.curTick(), double(pieces));
+        t->counter(trace::catCtrl, name_, "outstandingRequests",
+                   eventq_.curTick(), double(outer_.size()));
+    }
+    forEachPiece(req.addr, req.size,
+                 [&](std::uint64_t addr, std::uint64_t len) {
         MemRequest piece;
         piece.kind = req.kind;
         piece.addr = addr;
-        piece.size = std::uint32_t(piece_end - addr);
+        piece.size = std::uint32_t(len);
         std::uint64_t off = addr - req.addr;
         if (req.readInto != nullptr)
             piece.readInto =
@@ -181,25 +195,12 @@ PramSubsystem::enqueue(const MemRequest &req)
         if (req.writeFrom != nullptr)
             piece.writeFrom =
                 static_cast<const std::uint8_t *>(req.writeFrom) + off;
-        pieces.push_back(piece);
-        addr = piece_end;
-    }
-    outer.remainingPieces = std::uint32_t(pieces.size());
-    if (auto *t = trace::current()) {
-        t->counter(trace::catCtrl, name_, "stripePieces",
-                   eventq_.curTick(), double(pieces.size()));
-        t->counter(trace::catCtrl, name_, "outstandingRequests",
-                   eventq_.curTick(), double(outer_.size()));
-    }
-    for (auto &piece : pieces)
         issuePiece(id, piece);
+        return true;
+    });
 
-    if (wearLevel_ && req.kind == ReqKind::write) {
-        std::uint64_t first = req.addr / config_.stripeBytes;
-        std::uint64_t last =
-            (req.addr + req.size - 1) / config_.stripeBytes;
-        recordWearLevelWrites(last - first + 1);
-    }
+    if (wearLevel_ && req.kind == ReqKind::write)
+        recordWearLevelWrites(pieces);
     return id;
 }
 
@@ -389,17 +390,12 @@ PramSubsystem::maxLineWear() const
 void
 PramSubsystem::hintFutureWrite(std::uint64_t addr, std::uint64_t size)
 {
-    if (size == 0)
-        return;
-    std::uint64_t end = addr + size;
-    while (addr < end) {
-        std::uint64_t stripe_end =
-            (addr / config_.stripeBytes + 1) * config_.stripeBytes;
-        std::uint64_t piece_end = std::min(end, stripe_end);
-        auto [ch, chan_addr] = route(remap(addr));
-        channels_[ch]->hintFutureWrite(chan_addr, piece_end - addr);
-        addr = piece_end;
-    }
+    forEachPiece(addr, size,
+                 [&](std::uint64_t piece_addr, std::uint64_t len) {
+        auto [ch, chan_addr] = route(remap(piece_addr));
+        channels_[ch]->hintFutureWrite(chan_addr, len);
+        return true;
+    });
 }
 
 bool
@@ -413,16 +409,13 @@ PramSubsystem::functionalWrite(std::uint64_t addr, const void *src,
                                std::uint64_t len)
 {
     const auto *s = static_cast<const std::uint8_t *>(src);
-    std::uint64_t end = addr + len;
-    while (addr < end) {
-        std::uint64_t stripe_end =
-            (addr / config_.stripeBytes + 1) * config_.stripeBytes;
-        std::uint64_t piece_end = std::min(end, stripe_end);
-        auto [ch, chan_addr] = route(remap(addr));
-        channels_[ch]->functionalWrite(chan_addr, s, piece_end - addr);
-        s += piece_end - addr;
-        addr = piece_end;
-    }
+    forEachPiece(addr, len,
+                 [&](std::uint64_t piece_addr, std::uint64_t n) {
+        auto [ch, chan_addr] = route(remap(piece_addr));
+        channels_[ch]->functionalWrite(chan_addr, s, n);
+        s += n;
+        return true;
+    });
 }
 
 void
@@ -430,16 +423,13 @@ PramSubsystem::functionalRead(std::uint64_t addr, void *dst,
                               std::uint64_t len) const
 {
     auto *d = static_cast<std::uint8_t *>(dst);
-    std::uint64_t end = addr + len;
-    while (addr < end) {
-        std::uint64_t stripe_end =
-            (addr / config_.stripeBytes + 1) * config_.stripeBytes;
-        std::uint64_t piece_end = std::min(end, stripe_end);
-        auto [ch, chan_addr] = route(remap(addr));
-        channels_[ch]->functionalRead(chan_addr, d, piece_end - addr);
-        d += piece_end - addr;
-        addr = piece_end;
-    }
+    forEachPiece(addr, len,
+                 [&](std::uint64_t piece_addr, std::uint64_t n) {
+        auto [ch, chan_addr] = route(remap(piece_addr));
+        channels_[ch]->functionalRead(chan_addr, d, n);
+        d += n;
+        return true;
+    });
 }
 
 } // namespace ctrl

@@ -87,9 +87,11 @@ struct SubsystemStats
 /**
  * Facade over the per-channel controllers. Splits requests at stripe
  * boundaries, aggregates completions, applies wear leveling, and
- * provides the functional backdoor used to stage datasets.
+ * provides the functional backdoor used to stage datasets. It is the
+ * DRAM-less organization's MemoryBackend: the MCU attaches to it
+ * directly.
  */
-class PramSubsystem
+class PramSubsystem : public MemoryBackend
 {
   public:
     PramSubsystem(EventQueue &eq, const SubsystemConfig &config,
@@ -103,23 +105,24 @@ class PramSubsystem
     Tick initialize();
 
     /** Register the completion callback for demand requests. */
-    void setCallback(CompletionCallback cb);
+    void setCallback(CompletionCallback cb) override;
 
     /** @return usable capacity in bytes. */
-    std::uint64_t capacity() const;
+    std::uint64_t capacity() const override;
 
-    /** @return true when every involved channel can queue the
-     *  request. */
-    bool canAccept(const MemRequest &req) const;
+    /** @return true when every channel the request's stripes map to
+     *  can queue its piece. */
+    bool canAccept(const MemRequest &req) const override;
 
     /**
      * Admit a request (32-byte aligned). @return the request id
      * reported on completion.
      */
-    std::uint64_t enqueue(const MemRequest &req);
+    std::uint64_t enqueue(const MemRequest &req) override;
 
     /** Selective-erasing hint forwarded to the channels. */
-    void hintFutureWrite(std::uint64_t addr, std::uint64_t size);
+    void hintFutureWrite(std::uint64_t addr,
+                         std::uint64_t size) override;
 
     /** @return true when no demand requests are outstanding. */
     bool idle() const;
@@ -170,6 +173,17 @@ class PramSubsystem
     const SubsystemConfig &config() const { return config_; }
 
   private:
+    /**
+     * Walk [addr, addr + len) in address order as pieces that each
+     * lie within one stripe (so on one channel), calling
+     * @p fn(piece_addr, piece_len) with logical addresses. Stops at
+     * the first piece for which @p fn returns false.
+     * @return false when stopped early.
+     */
+    template <typename Fn>
+    bool forEachPiece(std::uint64_t addr, std::uint64_t len,
+                      Fn &&fn) const;
+
     /** Map a flat subsystem address to (channel, channel address). */
     std::pair<std::uint32_t, std::uint64_t>
     route(std::uint64_t addr) const;

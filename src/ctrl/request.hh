@@ -1,7 +1,9 @@
 /**
  * @file
- * Memory request/response types exchanged between the accelerator's
- * MCU and the PRAM subsystem controllers.
+ * The storage boundary: the request/response types and the backend
+ * interface through which the accelerator's MCU reaches every storage
+ * organization of Table I, and which the PRAM channel controllers
+ * speak internally.
  */
 
 #ifndef DRAMLESS_CTRL_REQUEST_HH
@@ -64,6 +66,38 @@ struct MemResponse
 
 /** Completion callback signature. */
 using CompletionCallback = std::function<void(const MemResponse &)>;
+
+/**
+ * Asynchronous byte-addressed memory service behind the server PE's
+ * MCU (Figure 6b). The PRAM subsystem, the embedded SSDs, the
+ * NOR-interface PRAM and the accelerator DRAM implement it, so the
+ * same accelerator model runs over every storage organization.
+ */
+class MemoryBackend
+{
+  public:
+    virtual ~MemoryBackend() = default;
+
+    /** Register the completion callback (one consumer: the MCU). */
+    virtual void setCallback(CompletionCallback cb) = 0;
+
+    /** @return true when @p req can be admitted now. */
+    virtual bool canAccept(const MemRequest &req) const = 0;
+
+    /** Admit @p req. @return the id its MemResponse carries. */
+    virtual std::uint64_t enqueue(const MemRequest &req) = 0;
+
+    /** Advisory hint that [addr, addr+size) will be overwritten. */
+    virtual void
+    hintFutureWrite(std::uint64_t addr, std::uint64_t size)
+    {
+        (void)addr;
+        (void)size;
+    }
+
+    /** @return backing capacity in bytes. */
+    virtual std::uint64_t capacity() const = 0;
+};
 
 } // namespace ctrl
 } // namespace dramless

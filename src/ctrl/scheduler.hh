@@ -36,13 +36,6 @@ struct SchedulerConfig
      */
     bool selectiveErasing = true;
 
-    /**
-     * Skip pre-active (RAB hit) and activate (RDB hit) phases when the
-     * controller knows the target address already resides in a row
-     * buffer (Section III-B). Part of the base hardware automation.
-     */
-    bool phaseSkipping = true;
-
     /** Maximum outstanding demand words queued per module. */
     std::uint32_t maxQueuePerModule = 64;
 
@@ -66,7 +59,6 @@ struct SchedulerConfig
     {
         return SchedulerConfig{.interleaving = false,
                                .selectiveErasing = false,
-                               .phaseSkipping = true,
                                .maxQueuePerModule = 64,
                                .rdbPrefetch = false};
     }
@@ -77,7 +69,6 @@ struct SchedulerConfig
     {
         return SchedulerConfig{.interleaving = true,
                                .selectiveErasing = false,
-                               .phaseSkipping = true,
                                .maxQueuePerModule = 64,
                                .rdbPrefetch = false};
     }
@@ -88,7 +79,6 @@ struct SchedulerConfig
     {
         return SchedulerConfig{.interleaving = false,
                                .selectiveErasing = true,
-                               .phaseSkipping = true,
                                .maxQueuePerModule = 64,
                                .rdbPrefetch = false};
     }
@@ -99,7 +89,6 @@ struct SchedulerConfig
     {
         return SchedulerConfig{.interleaving = true,
                                .selectiveErasing = true,
-                               .phaseSkipping = true,
                                .maxQueuePerModule = 64,
                                .rdbPrefetch = false};
     }

@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <string>
 
+#include "ctrl/request.hh"
+#include "sim/completion_queue.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/ticks.hh"
@@ -61,14 +63,17 @@ struct NorPramStats
 
 /**
  * The device: one bus (all transfers serialize) plus per-partition
- * program engines running behind the bus (read-while-write).
+ * program engines running behind the bus (read-while-write). As the
+ * NOR-intf organization's MemoryBackend it admits every request and
+ * reports each one when read() or write() says it completes.
  */
-class NorPram
+class NorPram : public ctrl::MemoryBackend
 {
   public:
     NorPram(EventQueue &eq, const NorPramConfig &config,
             std::string name)
-        : eventq_(eq), config_(config), name_(std::move(name))
+        : eventq_(eq), config_(config), name_(std::move(name)),
+          completions_(eq, this, name_ + ".completion")
     {
         fatal_if(config.partitions == 0 ||
                      config.partitions > programEnd_.size(),
@@ -76,7 +81,26 @@ class NorPram
     }
 
     /** @return capacity in bytes. */
-    std::uint64_t capacity() const { return config_.capacityBytes; }
+    std::uint64_t capacity() const override { return config_.capacityBytes; }
+
+    void
+    setCallback(ctrl::CompletionCallback cb) override
+    {
+        callback_ = std::move(cb);
+    }
+
+    bool canAccept(const ctrl::MemRequest &) const override { return true; }
+
+    std::uint64_t
+    enqueue(const ctrl::MemRequest &req) override
+    {
+        std::uint64_t id = nextId_++;
+        Tick done = req.kind == ctrl::ReqKind::write
+                        ? write(req.addr, req.size)
+                        : read(req.addr, req.size);
+        completions_.push(done, id);
+        return id;
+    }
 
     /**
      * Read @p size bytes at @p addr starting no earlier than
@@ -136,6 +160,13 @@ class NorPram
     const NorPramConfig &config() const { return config_; }
 
   private:
+    void
+    complete(const std::uint64_t &id, Tick now)
+    {
+        if (callback_)
+            callback_(ctrl::MemResponse{id, now});
+    }
+
     std::uint32_t
     partitionOf(std::uint64_t addr) const
     {
@@ -158,6 +189,10 @@ class NorPram
     Tick busFreeAt_ = 0;
     std::array<Tick, 8> programEnd_{};
     NorPramStats stats_;
+    ctrl::CompletionCallback callback_;
+    std::uint64_t nextId_ = 1;
+    CompletionQueue<NorPram, std::uint64_t, &NorPram::complete>
+        completions_;
 };
 
 } // namespace flash

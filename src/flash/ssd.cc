@@ -52,7 +52,7 @@ Ssd::Ssd(EventQueue &eq, const SsdConfig &config, std::string name)
       array_(eq, config.array, name_ + ".array"),
       cache_(config.buffer, name_ + ".buffer"),
       firmware_(config.firmware, name_ + ".fw"),
-      completionEvent_(this, name_ + ".completion")
+      completions_(eq, this, name_ + ".completion")
 {
     fatal_if(config.buffer.pageBytes != config.array.media.pageBytes,
              "%s: buffer page size must match media page size",
@@ -109,7 +109,7 @@ Ssd::enqueue(const ctrl::MemRequest &req)
     }
 
     std::uint64_t id = nextId_++;
-    pushCompletion(latest, id);
+    completions_.push(latest, id);
     return id;
 }
 
@@ -193,30 +193,10 @@ Ssd::handleEviction(const DramCache::Eviction &ev, Tick when)
 }
 
 void
-Ssd::pushCompletion(Tick when, std::uint64_t id)
+Ssd::complete(const std::uint64_t &id, Tick now)
 {
-    completions_[when].push_back(id);
-    eventq_.reschedule(&completionEvent_,
-                       completions_.begin()->first);
-}
-
-void
-Ssd::completionTrigger()
-{
-    Tick now = eventq_.curTick();
-    while (!completions_.empty() &&
-           completions_.begin()->first <= now) {
-        auto ids = std::move(completions_.begin()->second);
-        completions_.erase(completions_.begin());
-        for (std::uint64_t id : ids) {
-            if (callback_)
-                callback_(ctrl::MemResponse{id, now});
-        }
-    }
-    if (!completions_.empty()) {
-        eventq_.reschedule(&completionEvent_,
-                           completions_.begin()->first);
-    }
+    if (callback_)
+        callback_(ctrl::MemResponse{id, now});
 }
 
 } // namespace flash

@@ -11,16 +11,15 @@
 #define DRAMLESS_FLASH_SSD_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "ctrl/request.hh"
 #include "flash/dram_cache.hh"
 #include "flash/firmware.hh"
 #include "flash/flash_device.hh"
 #include "flash/ftl.hh"
+#include "sim/completion_queue.hh"
 #include "sim/event_queue.hh"
 
 namespace dramless
@@ -61,27 +60,31 @@ struct SsdStats
 /**
  * The SSD. Requests are byte-addressed but serviced at page
  * granularity: a sub-page access pays for the whole page (the block-
- * interface cost DRAM-less eliminates).
+ * interface cost DRAM-less eliminates). As the embedded store of the
+ * integrated organizations it is the MCU's MemoryBackend; it admits
+ * every request.
  */
-class Ssd
+class Ssd : public ctrl::MemoryBackend
 {
   public:
     Ssd(EventQueue &eq, const SsdConfig &config, std::string name);
 
     /** Register the completion callback. */
-    void setCallback(ctrl::CompletionCallback cb)
+    void setCallback(ctrl::CompletionCallback cb) override
     {
         callback_ = std::move(cb);
     }
 
     /** @return logical capacity in bytes. */
-    std::uint64_t capacity() const { return ftl_->logicalBytes(); }
+    std::uint64_t capacity() const override { return ftl_->logicalBytes(); }
+
+    bool canAccept(const ctrl::MemRequest &) const override { return true; }
 
     /**
      * Submit a byte-addressed request; it is expanded to page
      * accesses. @return the id reported on completion.
      */
-    std::uint64_t enqueue(const ctrl::MemRequest &req);
+    std::uint64_t enqueue(const ctrl::MemRequest &req) override;
 
     /** Stage @p size bytes at @p addr as pre-existing data. */
     void populate(std::uint64_t addr, std::uint64_t size);
@@ -104,8 +107,8 @@ class Ssd
     const std::string &name() const { return name_; }
 
   private:
-    void pushCompletion(Tick when, std::uint64_t id);
-    void completionTrigger();
+    /** Report request @p id, due now. */
+    void complete(const std::uint64_t &id, Tick now);
 
     /** Service one page read delivering @p bytes to the requester;
      *  @return completion tick. */
@@ -129,11 +132,10 @@ class Ssd
     std::unique_ptr<Ftl> ftl_;
     DramCache cache_;
     FirmwareModel firmware_;
-    std::map<Tick, std::vector<std::uint64_t>> completions_;
+    CompletionQueue<Ssd, std::uint64_t, &Ssd::complete> completions_;
     ctrl::CompletionCallback callback_;
     std::uint64_t nextId_ = 1;
     SsdStats stats_;
-    MemberEvent<Ssd, &Ssd::completionTrigger> completionEvent_;
 };
 
 } // namespace flash

@@ -117,44 +117,10 @@ shardsFromEnv()
     return unsigned(v);
 }
 
-unsigned
-clampWorkersToBudget(unsigned workers, unsigned shards_per_job,
-                     unsigned hardware_threads)
+SweepRunner::SweepRunner(unsigned num_workers) : numWorkers_(num_workers)
 {
-    if (hardware_threads == 0)
-        hardware_threads = 1;
-    // shards = 0 means "one kernel worker per core": one such job
-    // already claims the whole budget.
-    unsigned per_job =
-        shards_per_job == 0 ? hardware_threads : shards_per_job;
-    if (std::uint64_t(workers) * per_job <= hardware_threads)
-        return workers;
-    unsigned clamped =
-        std::max(1u, hardware_threads / std::min(per_job,
-                                                 hardware_threads));
-    warn("%u sweep jobs x %u kernel shards oversubscribes %u "
-         "hardware threads; clamping to %u concurrent jobs",
-         workers, per_job, hardware_threads, clamped);
-    return clamped;
-}
-
-SweepRunner::SweepRunner(unsigned num_workers,
-                         unsigned shards_per_job)
-    : numWorkers_(num_workers)
-{
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0)
-        hw = 1;
     if (numWorkers_ == 0)
-        numWorkers_ = hw;
-    // shards_per_job == 1 keeps the historical contract: an explicit
-    // worker count is honored even past the core count (the jobs are
-    // blocking-light, so modest oversubscription is harmless). Any
-    // other value means every job multiplies into shard threads, and
-    // the product must fit the budget.
-    if (shards_per_job != 1)
-        numWorkers_ = clampWorkersToBudget(numWorkers_,
-                                           shards_per_job, hw);
+        numWorkers_ = std::max(1u, std::thread::hardware_concurrency());
 }
 
 std::vector<systems::RunResult>

@@ -90,21 +90,6 @@ unsigned jobsFromEnv();
  */
 unsigned shardsFromEnv();
 
-/**
- * Resolve a sweep's worker count against the jobs x shards core
- * budget: with @p shards_per_job event-kernel workers inside every
- * job, running @p workers jobs concurrently occupies
- * workers * shards_per_job hardware threads. When that exceeds
- * @p hardware_threads, warn and clamp the job-level pool to
- * max(1, hardware_threads / shards_per_job) — oversubscribing cores
- * with simulation threads only adds context-switch overhead, never
- * throughput. shards_per_job of 0 ("one worker per core") claims the
- * whole budget: the pool clamps to one job at a time.
- */
-unsigned clampWorkersToBudget(unsigned workers,
-                              unsigned shards_per_job,
-                              unsigned hardware_threads);
-
 /** Thread-pool executor for SweepJob lists. */
 class SweepRunner
 {
@@ -116,13 +101,8 @@ class SweepRunner
     /**
      * @param num_workers worker threads; 0 means one per hardware
      *        thread (and at least one)
-     * @param shards_per_job event-kernel workers every job runs
-     *        internally (SystemOptions::shards); values other than 1
-     *        shrink the job-level pool so jobs x shards stays within
-     *        the hardware thread budget (see clampWorkersToBudget)
      */
-    explicit SweepRunner(unsigned num_workers = 0,
-                         unsigned shards_per_job = 1);
+    explicit SweepRunner(unsigned num_workers = 0);
 
     /** @return the resolved worker count. */
     unsigned numWorkers() const { return numWorkers_; }

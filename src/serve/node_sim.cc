@@ -30,11 +30,10 @@ SimNode::SimNode(
         systems::pramConfig(opts_, ctrl::SchedulerConfig::finalConfig()),
         name_ + ".pram");
     storageReady_ = pram_->initialize();
-    backend_ = std::make_unique<systems::PramBackend>(*pram_);
 
     accel_ = std::make_unique<accel::Accelerator>(
         eventq_, systems::acceleratorConfig(opts_), name_ + ".accel");
-    accel_->attachBackend(backend_.get());
+    accel_->attachBackend(pram_.get());
 }
 
 SimNode::~SimNode() = default;

@@ -33,7 +33,6 @@
 #include "ctrl/pram_subsystem.hh"
 #include "sim/event_pool.hh"
 #include "sim/event_queue.hh"
-#include "systems/backends.hh"
 #include "systems/system.hh"
 #include "workload/workload_model.hh"
 
@@ -122,7 +121,6 @@ class SimNode
     std::string name_;
 
     std::unique_ptr<ctrl::PramSubsystem> pram_;
-    std::unique_ptr<systems::PramBackend> backend_;
     std::unique_ptr<accel::Accelerator> accel_;
     Tick storageReady_ = 0;
 

@@ -1,115 +1,60 @@
 #include "systems/backends.hh"
 
+#include <algorithm>
+
 namespace dramless
 {
 namespace systems
 {
 
-// ---------------------------- PramBackend --------------------------
-
-PramBackend::PramBackend(ctrl::PramSubsystem &pram) : pram_(pram) {}
-
-void
-PramBackend::setCallback(Callback cb)
-{
-    pram_.setCallback([cb = std::move(cb)](const ctrl::MemResponse &r) {
-        cb(r.id, r.completedAt);
-    });
-}
-
-bool
-PramBackend::canAccept(std::uint32_t size) const
-{
-    ctrl::MemRequest req;
-    req.kind = ctrl::ReqKind::read;
-    req.addr = 0;
-    req.size = size;
-    return pram_.canAccept(req);
-}
-
-std::uint64_t
-PramBackend::submit(std::uint64_t addr, std::uint32_t size,
-                    bool is_write)
-{
-    ctrl::MemRequest req;
-    req.kind = is_write ? ctrl::ReqKind::write : ctrl::ReqKind::read;
-    req.addr = addr;
-    req.size = size;
-    return pram_.enqueue(req);
-}
-
-void
-PramBackend::hintFutureWrite(std::uint64_t addr, std::uint64_t size)
-{
-    pram_.hintFutureWrite(addr, size);
-}
-
-std::uint64_t
-PramBackend::capacity() const
-{
-    return pram_.capacity();
-}
-
 // ---------------------- FirmwareFrontedBackend ----------------------
 
 FirmwareFrontedBackend::FirmwareFrontedBackend(
-    EventQueue &eq, accel::MemoryBackend &inner,
+    EventQueue &eq, ctrl::MemoryBackend &inner,
     const flash::FirmwareConfig &fw, std::string name)
     : eventq_(eq), inner_(inner), fw_(fw, name + ".fw"),
       name_(std::move(name)),
-      fireEvent_(this, name_ + ".fire")
+      deferred_(eq, this, name_ + ".fire")
 {
-    inner_.setCallback([this](std::uint64_t inner_id, Tick when) {
-        auto it = innerToOuter_.find(inner_id);
+    inner_.setCallback([this](const ctrl::MemResponse &r) {
+        auto it = innerToOuter_.find(r.id);
         panic_if(it == innerToOuter_.end(),
                  "%s: unknown inner completion", name_.c_str());
-        std::uint64_t outer = it->second;
+        ctrl::MemResponse outer = r;
+        outer.id = it->second;
         innerToOuter_.erase(it);
         if (cb_)
-            cb_(outer, when);
+            cb_(outer);
     });
 }
 
 void
-FirmwareFrontedBackend::setCallback(Callback cb)
+FirmwareFrontedBackend::setCallback(ctrl::CompletionCallback cb)
 {
     cb_ = std::move(cb);
 }
 
 bool
-FirmwareFrontedBackend::canAccept(std::uint32_t size) const
+FirmwareFrontedBackend::canAccept(const ctrl::MemRequest &req) const
 {
-    return inner_.canAccept(size);
+    return inner_.canAccept(req);
 }
 
 std::uint64_t
-FirmwareFrontedBackend::submit(std::uint64_t addr, std::uint32_t size,
-                               bool is_write)
+FirmwareFrontedBackend::enqueue(const ctrl::MemRequest &req)
 {
     std::uint64_t id = nextId_++;
     // Every memory request is first processed serially by the
     // embedded firmware cores (Figure 7's bottleneck).
-    Tick ready = fw_.service(eventq_.curTick());
-    deferred_[ready].push_back(Deferred{id, addr, size, is_write});
-    eventq_.reschedule(&fireEvent_, deferred_.begin()->first);
+    deferred_.push(fw_.service(eventq_.curTick()), Deferred{id, req});
     return id;
 }
 
 void
-FirmwareFrontedBackend::fire()
+FirmwareFrontedBackend::issue(const Deferred &d, Tick)
 {
-    Tick now = eventq_.curTick();
-    while (!deferred_.empty() && deferred_.begin()->first <= now) {
-        auto batch = std::move(deferred_.begin()->second);
-        deferred_.erase(deferred_.begin());
-        for (const Deferred &d : batch) {
-            std::uint64_t inner_id =
-                inner_.submit(d.addr, d.size, d.isWrite);
-            innerToOuter_[inner_id] = d.id;
-        }
-    }
-    if (!deferred_.empty())
-        eventq_.reschedule(&fireEvent_, deferred_.begin()->first);
+    std::uint64_t inner_id = inner_.enqueue(d.req);
+    innerToOuter_[inner_id] = d.id;
 }
 
 void
@@ -130,36 +75,32 @@ FirmwareFrontedBackend::capacity() const
 DramBackend::DramBackend(EventQueue &eq, const Config &config,
                          std::string name)
     : eventq_(eq), config_(config), name_(std::move(name)),
-      fireEvent_(this, name_ + ".fire")
+      pending_(eq, this, name_ + ".fire")
 {}
 
 void
-DramBackend::setCallback(Callback cb)
+DramBackend::setCallback(ctrl::CompletionCallback cb)
 {
     cb_ = std::move(cb);
 }
 
 bool
-DramBackend::canAccept(std::uint32_t) const
+DramBackend::canAccept(const ctrl::MemRequest &) const
 {
     return true;
 }
 
 std::uint64_t
-DramBackend::submit(std::uint64_t addr, std::uint32_t size,
-                    bool is_write)
+DramBackend::enqueue(const ctrl::MemRequest &req)
 {
-    (void)addr;
-    (void)is_write;
     std::uint64_t id = nextId_++;
     Tick start = std::max(eventq_.curTick(), busyUntil_);
-    Tick xfer = serializationTicks(size, config_.bytesPerSec);
+    Tick xfer = serializationTicks(req.size, config_.bytesPerSec);
     Tick done = start + config_.accessLatency + xfer;
     // The shared DRAM bus serializes the data transfer portion.
     busyUntil_ = start + xfer;
-    bytesMoved_ += size;
-    pending_[done].push_back(id);
-    eventq_.reschedule(&fireEvent_, pending_.begin()->first);
+    bytesMoved_ += req.size;
+    pending_.push(done, id);
     return id;
 }
 
@@ -170,108 +111,10 @@ DramBackend::capacity() const
 }
 
 void
-DramBackend::fire()
+DramBackend::complete(const std::uint64_t &id, Tick now)
 {
-    Tick now = eventq_.curTick();
-    while (!pending_.empty() && pending_.begin()->first <= now) {
-        auto ids = std::move(pending_.begin()->second);
-        pending_.erase(pending_.begin());
-        for (auto id : ids) {
-            if (cb_)
-                cb_(id, now);
-        }
-    }
-    if (!pending_.empty())
-        eventq_.reschedule(&fireEvent_, pending_.begin()->first);
-}
-
-// ----------------------------- SsdBackend --------------------------
-
-SsdBackend::SsdBackend(flash::Ssd &ssd) : ssd_(ssd) {}
-
-void
-SsdBackend::setCallback(Callback cb)
-{
-    ssd_.setCallback([cb = std::move(cb)](const ctrl::MemResponse &r) {
-        cb(r.id, r.completedAt);
-    });
-}
-
-bool
-SsdBackend::canAccept(std::uint32_t) const
-{
-    return true;
-}
-
-std::uint64_t
-SsdBackend::submit(std::uint64_t addr, std::uint32_t size,
-                   bool is_write)
-{
-    ctrl::MemRequest req;
-    req.kind = is_write ? ctrl::ReqKind::write : ctrl::ReqKind::read;
-    req.addr = addr;
-    req.size = size;
-    return ssd_.enqueue(req);
-}
-
-std::uint64_t
-SsdBackend::capacity() const
-{
-    return ssd_.capacity();
-}
-
-// ----------------------------- NorBackend --------------------------
-
-NorBackend::NorBackend(EventQueue &eq, flash::NorPram &nor,
-                       std::string name)
-    : eventq_(eq), nor_(nor), name_(std::move(name)),
-      fireEvent_(this, name_ + ".fire")
-{}
-
-void
-NorBackend::setCallback(Callback cb)
-{
-    cb_ = std::move(cb);
-}
-
-bool
-NorBackend::canAccept(std::uint32_t) const
-{
-    return true;
-}
-
-std::uint64_t
-NorBackend::submit(std::uint64_t addr, std::uint32_t size,
-                   bool is_write)
-{
-    std::uint64_t id = nextId_++;
-    Tick done = is_write ? nor_.write(addr, size)
-                         : nor_.read(addr, size);
-    pending_[done].push_back(id);
-    eventq_.reschedule(&fireEvent_, pending_.begin()->first);
-    return id;
-}
-
-std::uint64_t
-NorBackend::capacity() const
-{
-    return nor_.capacity();
-}
-
-void
-NorBackend::fire()
-{
-    Tick now = eventq_.curTick();
-    while (!pending_.empty() && pending_.begin()->first <= now) {
-        auto ids = std::move(pending_.begin()->second);
-        pending_.erase(pending_.begin());
-        for (auto id : ids) {
-            if (cb_)
-                cb_(id, now);
-        }
-    }
-    if (!pending_.empty())
-        eventq_.reschedule(&fireEvent_, pending_.begin()->first);
+    if (cb_)
+        cb_(ctrl::MemResponse{id, now});
 }
 
 } // namespace systems

@@ -1,7 +1,10 @@
 /**
  * @file
- * MemoryBackend adapters wiring the storage substrates into the
- * accelerator's MCU — one per storage organization of Table I.
+ * The two memory backends that are not storage devices: the
+ * accelerator's internal DRAM and the storage-firmware stage of the
+ * "DRAM-less (firmware)" configuration. The storage devices
+ * themselves (ctrl::PramSubsystem, flash::Ssd, flash::NorPram) are
+ * ctrl::MemoryBackends and attach to the MCU directly.
  */
 
 #ifndef DRAMLESS_SYSTEMS_BACKENDS_HH
@@ -9,15 +12,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "accel/backend.hh"
-#include "ctrl/pram_subsystem.hh"
+#include "ctrl/request.hh"
 #include "flash/firmware.hh"
-#include "flash/nor_pram.hh"
-#include "flash/ssd.hh"
+#include "sim/completion_queue.hh"
 #include "sim/event_queue.hh"
 
 namespace dramless
@@ -25,41 +24,21 @@ namespace dramless
 namespace systems
 {
 
-/** The DRAM-less backend: the hardware-automated PRAM subsystem. */
-class PramBackend : public accel::MemoryBackend
-{
-  public:
-    explicit PramBackend(ctrl::PramSubsystem &pram);
-
-    void setCallback(Callback cb) override;
-    bool canAccept(std::uint32_t size) const override;
-    std::uint64_t submit(std::uint64_t addr, std::uint32_t size,
-                         bool is_write) override;
-    void hintFutureWrite(std::uint64_t addr,
-                         std::uint64_t size) override;
-    std::uint64_t capacity() const override;
-
-  private:
-    ctrl::PramSubsystem &pram_;
-};
-
 /**
  * Decorator inserting a storage-firmware execution stage in front of
  * any backend: the "DRAM-less (firmware)" configuration, where a
  * 3-core embedded CPU replaces the hardware automation (Section VI).
  */
-class FirmwareFrontedBackend : public accel::MemoryBackend
+class FirmwareFrontedBackend : public ctrl::MemoryBackend
 {
   public:
-    FirmwareFrontedBackend(EventQueue &eq,
-                           accel::MemoryBackend &inner,
+    FirmwareFrontedBackend(EventQueue &eq, ctrl::MemoryBackend &inner,
                            const flash::FirmwareConfig &fw,
                            std::string name);
 
-    void setCallback(Callback cb) override;
-    bool canAccept(std::uint32_t size) const override;
-    std::uint64_t submit(std::uint64_t addr, std::uint32_t size,
-                         bool is_write) override;
+    void setCallback(ctrl::CompletionCallback cb) override;
+    bool canAccept(const ctrl::MemRequest &req) const override;
+    std::uint64_t enqueue(const ctrl::MemRequest &req) override;
     void hintFutureWrite(std::uint64_t addr,
                          std::uint64_t size) override;
     std::uint64_t capacity() const override;
@@ -70,32 +49,31 @@ class FirmwareFrontedBackend : public accel::MemoryBackend
     struct Deferred
     {
         std::uint64_t id;
-        std::uint64_t addr;
-        std::uint32_t size;
-        bool isWrite;
+        ctrl::MemRequest req;
     };
 
-    void fire();
+    /** Hand @p d, done with firmware service, to the inner backend. */
+    void issue(const Deferred &d, Tick now);
 
     EventQueue &eventq_;
-    accel::MemoryBackend &inner_;
+    ctrl::MemoryBackend &inner_;
     flash::FirmwareModel fw_;
     std::string name_;
-    Callback cb_;
+    ctrl::CompletionCallback cb_;
     std::uint64_t nextId_ = 1;
     /** Requests waiting out their firmware service time. */
-    std::map<Tick, std::vector<Deferred>> deferred_;
+    CompletionQueue<FirmwareFrontedBackend, Deferred,
+                    &FirmwareFrontedBackend::issue>
+        deferred_;
     /** Map from inner ids to outer ids. */
     std::map<std::uint64_t, std::uint64_t> innerToOuter_;
-    MemberEvent<FirmwareFrontedBackend, &FirmwareFrontedBackend::fire>
-        fireEvent_;
 };
 
 /**
  * Flat DRAM backend: the internal accelerator DRAM of the
  * conventional heterogeneous systems and the ideal system.
  */
-class DramBackend : public accel::MemoryBackend
+class DramBackend : public ctrl::MemoryBackend
 {
   public:
     struct Config
@@ -109,72 +87,27 @@ class DramBackend : public accel::MemoryBackend
     DramBackend(EventQueue &eq, const Config &config,
                 std::string name);
 
-    void setCallback(Callback cb) override;
-    bool canAccept(std::uint32_t size) const override;
-    std::uint64_t submit(std::uint64_t addr, std::uint32_t size,
-                         bool is_write) override;
+    void setCallback(ctrl::CompletionCallback cb) override;
+    bool canAccept(const ctrl::MemRequest &req) const override;
+    std::uint64_t enqueue(const ctrl::MemRequest &req) override;
     std::uint64_t capacity() const override;
 
     /** @return total bytes moved (for DRAM energy). */
     std::uint64_t bytesMoved() const { return bytesMoved_; }
 
   private:
-    void fire();
+    /** Report request @p id, due now. */
+    void complete(const std::uint64_t &id, Tick now);
 
     EventQueue &eventq_;
     Config config_;
     std::string name_;
-    Callback cb_;
+    ctrl::CompletionCallback cb_;
     std::uint64_t nextId_ = 1;
     Tick busyUntil_ = 0;
     std::uint64_t bytesMoved_ = 0;
-    std::map<Tick, std::vector<std::uint64_t>> pending_;
-    MemberEvent<DramBackend, &DramBackend::fire> fireEvent_;
-};
-
-/**
- * Page-device backend: embedded SSD (Integrated-SLC/MLC/TLC) or the
- * 3x nm PRAM behind a page interface with internal DRAM
- * (PAGE-buffer). Sub-page accesses pay full-page costs inside the
- * wrapped Ssd.
- */
-class SsdBackend : public accel::MemoryBackend
-{
-  public:
-    explicit SsdBackend(flash::Ssd &ssd);
-
-    void setCallback(Callback cb) override;
-    bool canAccept(std::uint32_t size) const override;
-    std::uint64_t submit(std::uint64_t addr, std::uint32_t size,
-                         bool is_write) override;
-    std::uint64_t capacity() const override;
-
-  private:
-    flash::Ssd &ssd_;
-};
-
-/** NOR-interface PRAM backend: byte-addressable, fully serialized. */
-class NorBackend : public accel::MemoryBackend
-{
-  public:
-    NorBackend(EventQueue &eq, flash::NorPram &nor, std::string name);
-
-    void setCallback(Callback cb) override;
-    bool canAccept(std::uint32_t size) const override;
-    std::uint64_t submit(std::uint64_t addr, std::uint32_t size,
-                         bool is_write) override;
-    std::uint64_t capacity() const override;
-
-  private:
-    void fire();
-
-    EventQueue &eventq_;
-    flash::NorPram &nor_;
-    std::string name_;
-    Callback cb_;
-    std::uint64_t nextId_ = 1;
-    std::map<Tick, std::vector<std::uint64_t>> pending_;
-    MemberEvent<NorBackend, &NorBackend::fire> fireEvent_;
+    CompletionQueue<DramBackend, std::uint64_t, &DramBackend::complete>
+        pending_;
 };
 
 } // namespace systems

@@ -102,17 +102,15 @@ IntegratedSystem::doRun(const workload::WorkloadModel &model)
     std::unique_ptr<flash::Ssd> ssd;
     std::unique_ptr<flash::NorPram> nor;
     std::unique_ptr<DramBackend> dram;
-    std::unique_ptr<accel::MemoryBackend> base_backend;
     std::unique_ptr<FirmwareFrontedBackend> fw_backend;
-    accel::MemoryBackend *backend = nullptr;
+    ctrl::MemoryBackend *backend = nullptr;
     Tick storage_ready = 0;
 
     if (isPramKind(kind_)) {
         pram = std::make_unique<ctrl::PramSubsystem>(
             eq_, pramConfig(opts_, schedulerFor(kind_)), "pram");
         storage_ready = pram->initialize();
-        base_backend = std::make_unique<PramBackend>(*pram);
-        backend = base_backend.get();
+        backend = pram.get();
         if (kind_ == IntegratedKind::dramLessFirmware) {
             flash::FirmwareConfig fwc =
                 flash::FirmwareConfig::traditionalSsd();
@@ -123,15 +121,13 @@ IntegratedSystem::doRun(const workload::WorkloadModel &model)
                 fwc.faultSeed = opts_.reliability.seed;
             }
             fw_backend = std::make_unique<FirmwareFrontedBackend>(
-                eq_, *base_backend, fwc, "fwctl");
+                eq_, *pram, fwc, "fwctl");
             backend = fw_backend.get();
         }
     } else if (kind_ == IntegratedKind::norIntf) {
         nor = std::make_unique<flash::NorPram>(
             eq_, flash::NorPramConfig{}, "nor");
-        base_backend =
-            std::make_unique<NorBackend>(eq_, *nor, "norbk");
-        backend = base_backend.get();
+        backend = nor.get();
     } else if (kind_ == IntegratedKind::ideal) {
         DramBackend::Config dcfg;
         dcfg.capacityBytes = map.image + opts_.imageBytes + (1 << 20);
@@ -191,8 +187,7 @@ IntegratedSystem::doRun(const workload::WorkloadModel &model)
         // Inputs are staged in the persistent store before the run,
         // as in the paper's methodology.
         ssd->populate(map.input, spec.inputBytes);
-        base_backend = std::make_unique<SsdBackend>(*ssd);
-        backend = base_backend.get();
+        backend = ssd.get();
     }
 
     // -------------------------- accelerator ------------------------

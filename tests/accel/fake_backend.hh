@@ -1,17 +1,18 @@
 /**
  * @file
- * Fixed-latency MemoryBackend used by the accelerator unit tests.
+ * Fixed-latency ctrl::MemoryBackend used by the accelerator unit
+ * tests.
  */
 
 #ifndef DRAMLESS_TESTS_FAKE_BACKEND_HH
 #define DRAMLESS_TESTS_FAKE_BACKEND_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
-#include "accel/backend.hh"
 #include "accel/trace.hh"
+#include "ctrl/request.hh"
+#include "sim/completion_queue.hh"
 #include "sim/event_queue.hh"
 
 namespace dramless
@@ -19,42 +20,47 @@ namespace dramless
 namespace accel
 {
 
-/** Completes reads/writes after fixed latencies. */
-class FakeBackend : public MemoryBackend
+/** Completes reads/writes after fixed latencies, admitting at most
+ *  @c accept_limit outstanding requests. */
+class FakeBackend : public ctrl::MemoryBackend
 {
   public:
     FakeBackend(EventQueue &eq, Tick read_latency, Tick write_latency,
                 std::uint32_t accept_limit = 1000000)
         : eventq_(eq), readLatency_(read_latency),
           writeLatency_(write_latency), acceptLimit_(accept_limit),
-          event_([this] { fire(); }, "fake.complete")
+          pending_(eq, this, "fake.complete")
     {}
 
-    void setCallback(Callback cb) override { cb_ = std::move(cb); }
+    void
+    setCallback(ctrl::CompletionCallback cb) override
+    {
+        cb_ = std::move(cb);
+    }
 
     bool
-    canAccept(std::uint32_t) const override
+    canAccept(const ctrl::MemRequest &) const override
     {
-        return pending_.size() < acceptLimit_;
+        return outstanding_ < acceptLimit_;
     }
 
     std::uint64_t
-    submit(std::uint64_t addr, std::uint32_t size,
-           bool is_write) override
+    enqueue(const ctrl::MemRequest &req) override
     {
         std::uint64_t id = nextId_++;
+        bool is_write = req.kind == ctrl::ReqKind::write;
         if (is_write) {
             ++writes;
-            writtenBytes += size;
+            writtenBytes += req.size;
         } else {
             ++reads;
-            readBytes += size;
+            readBytes += req.size;
         }
-        lastAddr = addr;
-        Tick when = eventq_.curTick() +
-                    (is_write ? writeLatency_ : readLatency_);
-        pending_[when].push_back(id);
-        eventq_.reschedule(&event_, pending_.begin()->first);
+        lastAddr = req.addr;
+        ++outstanding_;
+        pending_.push(eventq_.curTick() +
+                          (is_write ? writeLatency_ : readLatency_),
+                      id);
         return id;
     }
 
@@ -75,29 +81,22 @@ class FakeBackend : public MemoryBackend
 
   private:
     void
-    fire()
+    complete(const std::uint64_t &id, Tick now)
     {
-        Tick now = eventq_.curTick();
-        while (!pending_.empty() && pending_.begin()->first <= now) {
-            auto ids = std::move(pending_.begin()->second);
-            pending_.erase(pending_.begin());
-            for (auto id : ids) {
-                if (cb_)
-                    cb_(id, now);
-            }
-        }
-        if (!pending_.empty())
-            eventq_.reschedule(&event_, pending_.begin()->first);
+        --outstanding_;
+        if (cb_)
+            cb_(ctrl::MemResponse{id, now});
     }
 
     EventQueue &eventq_;
     Tick readLatency_;
     Tick writeLatency_;
     std::size_t acceptLimit_;
-    Callback cb_;
-    std::map<Tick, std::vector<std::uint64_t>> pending_;
+    ctrl::CompletionCallback cb_;
+    std::size_t outstanding_ = 0;
     std::uint64_t nextId_ = 1;
-    EventFunctionWrapper event_;
+    CompletionQueue<FakeBackend, std::uint64_t, &FakeBackend::complete>
+        pending_;
 };
 
 /** In-memory vector-backed trace source. */

@@ -167,7 +167,6 @@ TEST(SchedulerPresetTest, PresetsPinEveryFieldAndLabelsRoundTrip)
     const SchedulerConfig bare = SchedulerConfig::bareMetal();
     EXPECT_FALSE(bare.interleaving);
     EXPECT_FALSE(bare.selectiveErasing);
-    EXPECT_TRUE(bare.phaseSkipping);
     EXPECT_EQ(bare.maxQueuePerModule, 64u);
     EXPECT_FALSE(bare.rdbPrefetch);
     EXPECT_EQ(bare.label(), "Bare-metal");
@@ -175,7 +174,6 @@ TEST(SchedulerPresetTest, PresetsPinEveryFieldAndLabelsRoundTrip)
     const SchedulerConfig inter = SchedulerConfig::interleavingOnly();
     EXPECT_TRUE(inter.interleaving);
     EXPECT_FALSE(inter.selectiveErasing);
-    EXPECT_TRUE(inter.phaseSkipping);
     EXPECT_EQ(inter.maxQueuePerModule, 64u);
     EXPECT_FALSE(inter.rdbPrefetch);
     EXPECT_EQ(inter.label(), "Interleaving");
@@ -183,7 +181,6 @@ TEST(SchedulerPresetTest, PresetsPinEveryFieldAndLabelsRoundTrip)
     const SchedulerConfig se = SchedulerConfig::selectiveErasingOnly();
     EXPECT_FALSE(se.interleaving);
     EXPECT_TRUE(se.selectiveErasing);
-    EXPECT_TRUE(se.phaseSkipping);
     EXPECT_EQ(se.maxQueuePerModule, 64u);
     EXPECT_FALSE(se.rdbPrefetch);
     EXPECT_EQ(se.label(), "selective-erasing");
@@ -191,7 +188,6 @@ TEST(SchedulerPresetTest, PresetsPinEveryFieldAndLabelsRoundTrip)
     const SchedulerConfig fin = SchedulerConfig::finalConfig();
     EXPECT_TRUE(fin.interleaving);
     EXPECT_TRUE(fin.selectiveErasing);
-    EXPECT_TRUE(fin.phaseSkipping);
     EXPECT_EQ(fin.maxQueuePerModule, 64u);
     EXPECT_FALSE(fin.rdbPrefetch);
     EXPECT_EQ(fin.label(), "Final");
@@ -201,7 +197,6 @@ TEST(SchedulerPresetTest, PresetsPinEveryFieldAndLabelsRoundTrip)
     EXPECT_EQ(dflt.label(), "Final");
     EXPECT_EQ(dflt.interleaving, fin.interleaving);
     EXPECT_EQ(dflt.selectiveErasing, fin.selectiveErasing);
-    EXPECT_EQ(dflt.phaseSkipping, fin.phaseSkipping);
     EXPECT_EQ(dflt.maxQueuePerModule, fin.maxQueuePerModule);
     EXPECT_EQ(dflt.rdbPrefetch, fin.rdbPrefetch);
 }

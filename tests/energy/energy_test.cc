@@ -115,18 +115,26 @@ TEST(PowerSeriesTest, CorePowerReflectsActivity)
     acfg.sampleInterval = fromUs(5);
     accel::Accelerator accel(eq, acfg, "a");
 
-    class Backend : public accel::MemoryBackend
+    class Backend : public ctrl::MemoryBackend
     {
       public:
         explicit Backend(EventQueue &eq) : eq_(eq), ev_([this] {
             for (auto &[id, t] : pending_)
-                cb_(id, t);
+                cb_(ctrl::MemResponse{id, t});
             pending_.clear();
         }, "b") {}
-        void setCallback(Callback cb) override { cb_ = std::move(cb); }
-        bool canAccept(std::uint32_t) const override { return true; }
+        void
+        setCallback(ctrl::CompletionCallback cb) override
+        {
+            cb_ = std::move(cb);
+        }
+        bool
+        canAccept(const ctrl::MemRequest &) const override
+        {
+            return true;
+        }
         std::uint64_t
-        submit(std::uint64_t, std::uint32_t, bool) override
+        enqueue(const ctrl::MemRequest &) override
         {
             std::uint64_t id = next_++;
             pending_.emplace_back(id, eq_.curTick() + fromNs(200));
@@ -137,7 +145,7 @@ TEST(PowerSeriesTest, CorePowerReflectsActivity)
 
       private:
         EventQueue &eq_;
-        Callback cb_;
+        ctrl::CompletionCallback cb_;
         std::uint64_t next_ = 1;
         std::vector<std::pair<std::uint64_t, Tick>> pending_;
         EventFunctionWrapper ev_;

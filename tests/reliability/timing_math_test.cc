@@ -95,8 +95,10 @@ TEST(DramBackendRoundingTest, SmallAccessKeepsBandwidthCost)
     Tick completed = 0;
     systems::DramBackend dram(eq, cfg, "dram");
     dram.setCallback(
-        [&](std::uint64_t, Tick when) { completed = when; });
-    dram.submit(0, 32, false);
+        [&](const ctrl::MemResponse &r) { completed = r.completedAt; });
+    ctrl::MemRequest req;
+    req.size = 32;
+    dram.enqueue(req);
     eq.run();
     // 32 bytes at 2 TB/s is 16 ps of occupancy on top of the access
     // latency; the old math charged zero transfer time.

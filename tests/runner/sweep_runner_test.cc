@@ -8,13 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -94,6 +92,8 @@ TEST(SweepRunnerTest, AllJobsSucceedInOrder)
         EXPECT_FALSE(results[i].failed());
         EXPECT_DOUBLE_EQ(results[i].bandwidthMBps, double(i) + 1.0);
     }
+    // An explicit worker count is honored even past the core count.
+    EXPECT_EQ(SweepRunner(64).numWorkers(), 64u);
 }
 
 TEST(SweepRunnerTest, ThrowingJobKeepsSlotWithContinueOnError)
@@ -304,54 +304,6 @@ TEST_F(ShardsFromEnvTest, GarbageFallsBackToSerial)
         EXPECT_EQ(v, 1u) << "input '" << bad << "'";
         EXPECT_NE(err.find("DRAMLESS_SHARDS"), std::string::npos);
     }
-}
-
-TEST(CoreBudgetTest, WithinBudgetIsUntouched)
-{
-    EXPECT_EQ(runner::clampWorkersToBudget(4, 2, 8), 4u);
-    EXPECT_EQ(runner::clampWorkersToBudget(8, 1, 8), 8u);
-    EXPECT_EQ(runner::clampWorkersToBudget(1, 8, 8), 1u);
-}
-
-TEST(CoreBudgetTest, OversubscriptionClampsAndWarns)
-{
-    setQuiet(false);
-    ::testing::internal::CaptureStderr();
-    // 8 jobs x 4 shards on 8 threads -> 2 concurrent jobs.
-    EXPECT_EQ(runner::clampWorkersToBudget(8, 4, 8), 2u);
-    std::string err = ::testing::internal::GetCapturedStderr();
-    setQuiet(true);
-    EXPECT_NE(err.find("oversubscribes"), std::string::npos);
-}
-
-TEST(CoreBudgetTest, NeverClampsToZero)
-{
-    // One job must always run, even when a single job's shards
-    // exceed the machine.
-    EXPECT_EQ(runner::clampWorkersToBudget(4, 16, 8), 1u);
-    EXPECT_EQ(runner::clampWorkersToBudget(2, 3, 4), 1u);
-}
-
-TEST(CoreBudgetTest, AutoShardsClaimWholeBudget)
-{
-    // shards=0 ("one kernel worker per core"): any second concurrent
-    // job would oversubscribe by construction.
-    EXPECT_EQ(runner::clampWorkersToBudget(8, 0, 8), 1u);
-    EXPECT_EQ(runner::clampWorkersToBudget(1, 0, 8), 1u);
-}
-
-TEST(CoreBudgetTest, RunnerCtorAppliesTheBudget)
-{
-    // With the serial kernel the historical contract holds: explicit
-    // worker counts are honored unclamped.
-    EXPECT_EQ(SweepRunner(64, 1).numWorkers(), 64u);
-    // With sharded jobs the jobs x shards product is capped by the
-    // host's thread count, whatever it is.
-    unsigned hw = std::thread::hardware_concurrency();
-    hw = hw > 0 ? hw : 1;
-    SweepRunner sharded(64, 4);
-    EXPECT_LE(sharded.numWorkers() * 4, std::max(hw, 4u));
-    EXPECT_GE(sharded.numWorkers(), 1u);
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 
 #include <map>
 
+#include "accel/mcu.hh"
+#include "ctrl/pram_subsystem.hh"
 #include "systems/factory.hh"
 #include "workload/polybench.hh"
 
@@ -169,6 +171,35 @@ TEST(SystemsTest, SchedulerVariantsOrderOnWriteHeavy)
     RunResult rf = final_cfg->run(spec);
     EXPECT_GT(rs.bandwidthMBps, rb.bandwidthMBps);
     EXPECT_GE(rf.bandwidthMBps, rb.bandwidthMBps);
+}
+
+TEST(SystemsTest, McuAdmissionFollowsTheRequestChannel)
+{
+    // Default subsystem: two channels with 512 B stripes, so odd
+    // stripes live on channel 1. Fill channel 1 until it refuses the
+    // next odd stripe while channel 0 stays empty; an MCU read of
+    // that stripe must then wait instead of overfilling channel 1.
+    setQuiet(true);
+    EventQueue eq;
+    ctrl::PramSubsystem pram(eq, ctrl::SubsystemConfig{}, "pram");
+    pram.initialize();
+    ctrl::MemRequest req;
+    req.size = 512;
+    for (req.addr = 512; pram.canAccept(req); req.addr += 2 * 512)
+        pram.enqueue(req);
+    ASSERT_EQ(pram.channel(0).pendingRequests(), 0u);
+    const std::size_t full = pram.channel(1).pendingRequests();
+    ASSERT_GT(full, 0u);
+
+    accel::Mcu mcu(eq, accel::McuConfig{}, "mcu");
+    mcu.attachBackend(&pram);
+    mcu.read(req.addr, 512, [](Tick) {});
+    EXPECT_EQ(pram.channel(1).pendingRequests(), full);
+
+    // The reads enqueued above would complete into the MCU as
+    // unknown ids; drain them into a no-op callback instead.
+    pram.setCallback([](const ctrl::MemResponse &) {});
+    eq.run();
 }
 
 TEST(SystemsTest, TableOneInfoIsComplete)
