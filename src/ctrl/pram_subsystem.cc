@@ -390,6 +390,8 @@ PramSubsystem::maxLineWear() const
 void
 PramSubsystem::hintFutureWrite(std::uint64_t addr, std::uint64_t size)
 {
+    fatal_if(addr + size > capacity(),
+             "%s: hint beyond subsystem capacity", name_.c_str());
     forEachPiece(addr, size,
                  [&](std::uint64_t piece_addr, std::uint64_t len) {
         auto [ch, chan_addr] = route(remap(piece_addr));

@@ -120,7 +120,8 @@ class PramSubsystem : public MemoryBackend
      */
     std::uint64_t enqueue(const MemRequest &req) override;
 
-    /** Selective-erasing hint forwarded to the channels. */
+    /** Selective-erasing hint forwarded to the channels; the range
+     *  must lie within capacity(). */
     void hintFutureWrite(std::uint64_t addr,
                          std::uint64_t size) override;
 

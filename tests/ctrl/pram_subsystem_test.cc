@@ -215,6 +215,16 @@ TEST_F(SubsystemTest, DeathOnOversizedRequest)
     EXPECT_DEATH(sys->enqueue(req), "beyond subsystem capacity");
 }
 
+TEST_F(SubsystemTest, DeathOnHintBeyondCapacity)
+{
+    // With spare lines reserved, the stripes past the end are spares.
+    SubsystemConfig cfg = smallConfig();
+    cfg.reliability.enabled = true;
+    auto sys = make(cfg);
+    EXPECT_DEATH(sys->hintFutureWrite(sys->capacity() - 512, 4096 + 512),
+                 "hint beyond subsystem capacity");
+}
+
 } // namespace
 } // namespace ctrl
 } // namespace dramless
