@@ -35,23 +35,6 @@ geometryJob(const std::string &label, const pram::PramGeometry &geom,
         }};
 }
 
-/** A DRAM-less job with an ablated scheduler config. */
-runner::SweepJob
-schedulerJob(const std::string &label,
-             const ctrl::SchedulerConfig &sc, const char *wl,
-             const systems::SystemOptions &base)
-{
-    systems::SystemOptions opts = base;
-    opts.schedulerOverride = sc;
-    const auto &spec = workload::Polybench::byName(wl);
-    return runner::SweepJob{
-        label, wl, [opts, spec]() {
-            auto sys = systems::SystemFactory::create(
-                systems::SystemKind::dramLess, opts);
-            return sys->run(spec);
-        }};
-}
-
 /** Print one sweep section from the flat result list. */
 void
 printSection(const char *title, const char *knob,
@@ -86,7 +69,7 @@ main()
     auto opts = bench::defaultOptions();
 
     std::vector<runner::SweepJob> jobs;
-    std::vector<std::string> rb_rows, part_rows, slot_rows, pf_rows;
+    std::vector<std::string> rb_rows, part_rows, slot_rows;
 
     for (std::uint32_t n : {1u, 2u, 4u, 8u}) {
         pram::PramGeometry g;
@@ -112,16 +95,6 @@ main()
             jobs.push_back(geometryJob(
                 "programSlots=" + std::to_string(n), g, wl, opts));
     }
-    for (bool pf : {false, true}) {
-        ctrl::SchedulerConfig sc =
-            ctrl::SchedulerConfig::finalConfig();
-        sc.rdbPrefetch = pf;
-        pf_rows.push_back(pf ? "on" : "off");
-        for (const char *wl : kernels)
-            jobs.push_back(schedulerJob(
-                std::string("rdbPrefetch=") + (pf ? "on" : "off"),
-                sc, wl, opts));
-    }
 
     std::vector<systems::RunResult> results = bench::runJobs(jobs);
     auto sink = bench::makeSink("ablation_geometry",
@@ -139,14 +112,11 @@ main()
     printSection("Ablation: concurrent program slots (overlay "
                  "windows / program buffers)",
                  "slots", slot_rows, jobs, results, sink, idx);
-    printSection("Ablation: sequential RDB prefetching "
-                 "(Section III-B extension)",
-                 "prefetch", pf_rows, jobs, results, sink, idx);
 
     std::printf("shapes: more row buffers raise hit/skip rates; "
                 "partitions feed the\ninterleaver; program slots set "
                 "the write-bandwidth ceiling (write-heavy\nkernels "
-                "move most); prefetching warms streaming reads.\n");
+                "move most).\n");
     sink.exportFromEnv();
     return 0;
 }

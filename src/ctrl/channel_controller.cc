@@ -16,6 +16,9 @@ namespace
 /** Demand sub-ops scanned per module per pass when interleaving. */
 constexpr std::uint32_t schedLookahead = 8;
 
+/** Demand words queued per module before admission refuses more. */
+constexpr std::size_t maxQueuePerModule = 64;
+
 /** @return a mask of the low @p n bits. */
 constexpr std::uint32_t
 lowBits(std::uint32_t n)
@@ -68,8 +71,29 @@ ChannelController::ChannelController(EventQueue &eq,
         moduleStates_[i].rabLastUse.assign(geom.numRowBuffers, 0);
         moduleStates_[i].lastCode = pram::ow::cmdNone;
     }
-    usableWordsPerModule_ =
-        modules_.front()->overlayWindow().base() / geom.rowBufferBytes;
+    const pram::PramModule &mod = *modules_.front();
+    usableWordsPerModule_ = mod.overlayWindow().base() / geom.rowBufferBytes;
+
+    // Translator: a write is an overlay-window sequence of operation
+    // code, word address, burst size (multi-purpose register), payload
+    // (each member its own slice) and execute, which launches it.
+    auto ow_write = [&](OwStep k, std::uint32_t offset,
+                        std::uint32_t value, std::uint32_t len) {
+        MicroOp &op = owSeq_[k];
+        static_cast<pram::DecomposedAddress &>(op) =
+            mod.decomposer().decompose(mod.overlayWindow().base() + offset);
+        op.len = len;
+        op.value = value;
+        op.isWrite = op.overlayRow = true;
+        op.isPayload = k == owPayload;
+        op.isExecute = k == owExecute;
+    };
+    const std::uint32_t unit = geom.rowBufferBytes;
+    ow_write(owCode, pram::ow::codeReg, pram::ow::cmdBufferProgram, 4);
+    ow_write(owAddress, pram::ow::addressReg, 0, 4);
+    ow_write(owSize, pram::ow::multiPurposeReg, unit, 4);
+    ow_write(owPayload, pram::ow::programBufferBase, 0, unit);
+    ow_write(owExecute, pram::ow::executeReg, 1, 4);
 }
 
 std::uint64_t
@@ -83,15 +107,17 @@ bool
 ChannelController::canAccept(const MemRequest &req) const
 {
     // Every gang occupies one slot on each of its member modules.
-    std::size_t gang_depth = gangs_.size();
-    std::uint64_t words = req.size / geom_.rowBufferBytes;
+    // Words past the first M revisit the same modules.
+    const std::uint32_t M = numModules();
+    const std::uint64_t words =
+        std::min<std::uint64_t>(req.size / geom_.rowBufferBytes, M);
+    std::uint32_t m = moduleOfWord(req.addr / geom_.rowBufferBytes);
     for (std::uint64_t i = 0; i < words; ++i) {
-        std::uint64_t word = req.addr / geom_.rowBufferBytes + i;
-        const ModuleState &mstate = moduleStates_[moduleOfWord(word)];
-        if (mstate.demand.size() + gang_depth >=
-            config_.maxQueuePerModule) {
+        if (moduleStates_[m].demand.size() + gangs_.size() >=
+            maxQueuePerModule) {
             return false;
         }
+        m = m + 1 < M ? m + 1 : 0;
     }
     return true;
 }
@@ -167,22 +193,11 @@ ChannelController::enqueue(const MemRequest &req)
             sub->readInto = static_cast<std::uint8_t *>(req.readInto) +
                             std::uint64_t(i) * unit;
         }
-        translate(*sub);
         for (std::uint32_t m = sub->module; m < sub->module + span; ++m) {
             ModuleState &ms = moduleStates_[m];
             if (sub->isWrite) {
                 ms.pendingWrites.push_back({mword, sub->seq});
                 ++ms.queuedDemandWrites;
-            } else {
-                // Streaming predictor: warm the next sequential rows
-                // once the module goes idle (bounded run-ahead).
-                ms.nextPrefetchWord = mword + 1;
-                ms.prefetchLimit =
-                    mword + std::max<std::uint32_t>(
-                                2, geom_.numRowBuffers - 1);
-                ms.prefetchSeeded = true;
-                if (config_.rdbPrefetch)
-                    speculativeModules_ |= std::uint32_t(1) << m;
             }
             // The access replaces or observes the word's contents: a
             // later hint-driven zero-fill would destroy live data,
@@ -333,79 +348,25 @@ ChannelController::makeSubOp(std::uint32_t module, std::uint32_t span,
     sub->isWrite = is_write;
     sub->moduleWord = mword;
     // Every member decomposes the same module word identically.
-    sub->targetPartition = modules_[module]
-                               ->decomposer()
-                               .decompose(mword * geom_.rowBufferBytes)
-                               .partition;
+    const std::uint32_t unit = geom_.rowBufferBytes;
+    static_cast<pram::DecomposedAddress &>(sub->wordOp) =
+        modules_[module]->decomposer().decompose(mword * unit);
+    sub->wordOp.len = unit;
+    // A write skips the code step when every member's register holds
+    // it (a redundant rewrite on some members is harmless).
+    sub->opIdx = owAddress;
+    for (std::uint32_t m = module; is_write && m < module + span; ++m) {
+        if (moduleStates_[m].lastCode != pram::ow::cmdBufferProgram) {
+            sub->opIdx = owCode;
+            break;
+        }
+    }
     sub->pending = lowBits(span);
     if (span > 1) {
         ++stats_.gangSubOps;
         stats_.gangWords += span;
     }
     return sub;
-}
-
-ChannelController::MicroOp
-ChannelController::owWriteOp(const pram::PramModule &mod,
-                             std::uint32_t ow_offset, std::uint32_t value,
-                             std::uint32_t len) const
-{
-    std::uint64_t addr = mod.overlayWindow().base() + ow_offset;
-    pram::DecomposedAddress d = mod.decomposer().decompose(addr);
-    MicroOp op;
-    op.partition = d.partition;
-    op.row = d.row;
-    op.upperRow = d.upperRow;
-    op.lowerRow = d.lowerRow;
-    op.column = d.column;
-    op.len = len;
-    op.value = value;
-    op.isWrite = true;
-    op.overlayRow = true;
-    return op;
-}
-
-void
-ChannelController::translate(SubOp &sub) const
-{
-    const pram::PramModule &mod = *modules_[sub.module];
-    const std::uint32_t unit = geom_.rowBufferBytes;
-    if (!sub.isWrite) {
-        // A read is one three-phase access to the word's row.
-        pram::DecomposedAddress d =
-            mod.decomposer().decompose(sub.moduleWord * unit);
-        MicroOp &op = sub.ops[0];
-        op.partition = d.partition;
-        op.row = d.row;
-        op.upperRow = d.upperRow;
-        op.lowerRow = d.lowerRow;
-        op.len = unit;
-        sub.numOps = 1;
-        return;
-    }
-    // A write is an overlay-window program sequence.
-    std::uint32_t n = 0;
-    // 1. Operation code: skipped when every member's register already
-    // holds it (a redundant rewrite on some members is harmless).
-    for (std::uint32_t m = sub.module; m < sub.module + sub.span; ++m) {
-        if (moduleStates_[m].lastCode != pram::ow::cmdBufferProgram) {
-            sub.ops[n++] = owWriteOp(mod, pram::ow::codeReg,
-                                     pram::ow::cmdBufferProgram, 4);
-            break;
-        }
-    }
-    // 2. Target row (word) address, identical on every member.
-    sub.ops[n++] = owWriteOp(mod, pram::ow::addressReg,
-                             std::uint32_t(sub.moduleWord), 4);
-    // 3. Burst size via the multi-purpose register.
-    sub.ops[n++] = owWriteOp(mod, pram::ow::multiPurposeReg, unit, 4);
-    // 4. Payload into the program buffer: each member's own slice.
-    sub.ops[n] = owWriteOp(mod, pram::ow::programBufferBase, 0, unit);
-    sub.ops[n++].isPayload = true;
-    // 5. Launch via the execute register.
-    sub.ops[n] = owWriteOp(mod, pram::ow::executeReg, 1, 4);
-    sub.ops[n++].isExecute = true;
-    sub.numOps = n;
 }
 
 int
@@ -421,8 +382,9 @@ ChannelController::freeHit(std::uint32_t m, const MicroOp &op, Tick now,
         }
         if (ms.rabBusyUntil[b] <= now)
             return int(b);
-        // The row is being sensed right now (e.g. by the prefetcher);
-        // waiting for it can beat redoing the full three-phase access.
+        // The RDB holds the row, and an earlier data burst releases
+        // the RAB at a known tick; waiting for it can beat redoing the
+        // full three-phase access.
         if (inflight != nullptr && rdbHolds(mod, b, op.row, op.partition))
             *inflight = std::min(*inflight, ms.rabBusyUntil[b]);
     }
@@ -473,7 +435,7 @@ ChannelController::Feasibility
 ChannelController::evaluate(const SubOp &sub) const
 {
     const Tick now = curTick();
-    const MicroOp &op = sub.ops[sub.opIdx];
+    const MicroOp &op = nextOp(sub);
     const std::uint32_t end = sub.module + sub.span;
     Feasibility f;
 
@@ -561,7 +523,7 @@ ChannelController::evaluate(const SubOp &sub) const
                 const pram::PramModule &mod = *modules_[sub.module + i];
                 t = std::max(
                     {t, mod.programSlotFreeAt(),
-                     mod.partitionBusyUntil(sub.targetPartition)});
+                     mod.partitionBusyUntil(sub.wordOp.partition)});
             }
         }
         break;
@@ -576,7 +538,7 @@ void
 ChannelController::issue(SubOp &sub, const Feasibility &f)
 {
     const Tick now = curTick();
-    const MicroOp &op = sub.ops[sub.opIdx];
+    const MicroOp &op = nextOp(sub);
     const std::uint32_t span = sub.span;
     const std::uint32_t unit = geom_.rowBufferBytes;
 
@@ -663,37 +625,16 @@ ChannelController::issue(SubOp &sub, const Feasibility &f)
         send_commands(span);
         sub.phaseReadyAt = ready;
         if (auto *t = trace::current()) {
-            t->complete(trace::catCtrl, name_,
-                        sub.isPrefetch ? "phase.activate.prefetch"
-                                       : "phase.activate",
-                        now, sub.phaseReadyAt);
+            t->complete(trace::catCtrl, name_, "phase.activate", now,
+                        sub.phaseReadyAt);
         }
         sub.phase = Phase::readWrite;
-        if (sub.isPrefetch) {
-            // The speculation ends here: the sensed RDB stays warm
-            // for the next demand read's phase skip.
-            ModuleState &ms = moduleStates_[sub.module];
-            ++stats_.prefetchActivates;
-            ms.rabBusyUntil[sub.rab[0]] = sub.phaseReadyAt;
-            addInFlight(sub.module, -1);
-            ++ms.nextPrefetchWord;
-            ms.prefetch.reset(); // sub is retired now
-        }
         return;
       }
       case Phase::readWrite:
         break;
     }
 
-    if (sub.isPrefetch) {
-        // The target row became resident through demand traffic while
-        // the speculation waited; the warm-up is already done.
-        ModuleState &ms = moduleStates_[sub.module];
-        ++ms.nextPrefetchWord;
-        addInFlight(sub.module, -1);
-        ms.prefetch.reset();
-        return; // sub is retired now
-    }
     if (sub.phase == Phase::preActive) {
         // Every member skipped both phases on a full RDB hit.
         stats_.preActivesSkipped += span;
@@ -715,6 +656,9 @@ ChannelController::issue(SubOp &sub, const Feasibility &f)
     // intact) while the shared DQ bus serializes the beats — the
     // sub-op's occupancy is one burst window per member.
     const bool was_execute = op.isExecute;
+    const std::uint32_t value = sub.isWrite && sub.opIdx == owAddress
+                                    ? std::uint32_t(sub.moduleWord)
+                                    : op.value;
     std::uint32_t bursts = 0;
     Tick first_data = maxTick;
     Tick window = 0;
@@ -726,7 +670,7 @@ ChannelController::issue(SubOp &sub, const Feasibility &f)
         if (op.isWrite) {
             const void *src =
                 op.isPayload ? sub.payload.data() + std::size_t(i) * unit
-                             : static_cast<const void *>(&op.value);
+                             : static_cast<const void *>(&value);
             bt = mod.writeBurst(sub.rab[i], op.column, op.len, src);
         } else {
             void *dst = sub.readInto == nullptr
@@ -758,7 +702,7 @@ ChannelController::issue(SubOp &sub, const Feasibility &f)
     sub.phase = Phase::preActive;
     sub.phaseReadyAt = now;
 
-    if (sub.opIdx < sub.numOps)
+    if (sub.isWrite && sub.opIdx < owSteps)
         return; // sequence continues
 
     // Sub-op fully issued: check device verify status (writes),
@@ -966,43 +910,6 @@ ChannelController::cancelUnstartedZeroFill(SubOpQueue &queue,
     }
 }
 
-bool
-ChannelController::prefetchLive(const ModuleState &ms) const
-{
-    const std::uint64_t w = ms.nextPrefetchWord;
-    return config_.rdbPrefetch &&
-           (ms.prefetch || (ms.prefetchSeeded && w < usableWordsPerModule_ &&
-                            w <= ms.prefetchLimit));
-}
-
-void
-ChannelController::materializePrefetch(std::uint32_t m)
-{
-    ModuleState &mstate = moduleStates_[m];
-    if (mstate.prefetch || !mstate.prefetchSeeded)
-        return;
-    std::uint64_t w = mstate.nextPrefetchWord;
-    if (w >= usableWordsPerModule_ || w > mstate.prefetchLimit)
-        return;
-    const pram::PramModule &mod = *modules_[m];
-    // Skip words whose row is already resident or hazardous.
-    if (std::any_of(mstate.pendingWrites.begin(),
-                    mstate.pendingWrites.end(),
-                    [&](const PendingWrite &pw) { return pw.word == w; })) {
-        return;
-    }
-    pram::DecomposedAddress d =
-        mod.decomposer().decompose(w * geom_.rowBufferBytes);
-    for (std::uint32_t b = 0; b < geom_.numRowBuffers; ++b) {
-        if (rdbHolds(mod, b, d.row, d.partition))
-            return; // already warm
-    }
-    auto sub = makeSubOp(m, 1, w, false);
-    sub->isPrefetch = true;
-    translate(*sub);
-    mstate.prefetch = std::move(sub);
-}
-
 void
 ChannelController::materializeZeroFill(HintQueue &hints, SubOpQueue &queue,
                                        std::uint32_t module,
@@ -1041,7 +948,6 @@ ChannelController::materializeZeroFill(HintQueue &hints, SubOpQueue &queue,
         sub->isZeroFill = true;
         std::memset(sub->payload.data(), 0,
                     std::size_t(span) * geom_.rowBufferBytes);
-        translate(*sub);
         queue.push_back(std::move(sub));
     }
 }
@@ -1176,17 +1082,6 @@ ChannelController::schedule()
                 break;
             }
 
-            // Speculative RDB warming runs only on an idle module and
-            // stops after the activate phase.
-            if (config_.rdbPrefetch && mstate.demand.empty() &&
-                gangs_.empty()) {
-                materializePrefetch(m);
-                if (mstate.prefetch && step(*mstate.prefetch, next_wake)) {
-                    progress = true;
-                    break;
-                }
-            }
-
             // Selective erasing: zero-fills yield to queued demand
             // writes (which they would race for the program slots)
             // but run alongside read traffic — the paper erases
@@ -1202,10 +1097,8 @@ ChannelController::schedule()
                     break;
                 }
             }
-            if (mstate.hints.empty() && mstate.zeroFills.empty() &&
-                !prefetchLive(mstate)) {
+            if (mstate.hints.empty() && mstate.zeroFills.empty())
                 speculativeModules_ &= ~(std::uint32_t(1) << m);
-            }
         }
 
         if (progress) {

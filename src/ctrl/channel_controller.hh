@@ -51,8 +51,6 @@ struct ControllerStats
     std::uint64_t activatesSkipped = 0;
     std::uint64_t zeroFillPrograms = 0;
     std::uint64_t zeroFillSkipped = 0;
-    /** Speculative row activations issued by the RDB prefetcher. */
-    std::uint64_t prefetchActivates = 0;
     /** Cross-module gang sub-ops serviced (burst batching). */
     std::uint64_t gangSubOps = 0;
     /** Words carried by gang sub-ops. */
@@ -170,20 +168,12 @@ class ChannelController : public Clocked
   private:
     /** Widest sub-op: the verify mask holds one bit per member. */
     static constexpr std::uint32_t maxModules = 32;
-    /** Longest translated sequence (code, address, size, payload,
-     *  execute). */
-    static constexpr std::uint32_t maxOps = 5;
     /** Largest access unit the inline payload slices hold. */
     static constexpr std::uint32_t maxUnitBytes = 32;
 
     /** Micro-operation: one three-phase access to one module row. */
-    struct MicroOp
+    struct MicroOp : pram::DecomposedAddress
     {
-        std::uint32_t partition = 0;
-        std::uint64_t row = 0;
-        std::uint64_t upperRow = 0;
-        std::uint64_t lowerRow = 0;
-        std::uint32_t column = 0;
         std::uint32_t len = 0;
         /** Register value written by an overlay-window write. */
         std::uint32_t value = 0;
@@ -195,6 +185,18 @@ class ChannelController : public Clocked
         /** Program-buffer payload write: each member writes its own
          *  slice of the sub-op's payload instead of @c value. */
         bool isPayload = false;
+    };
+
+    /** Overlay-window program sequence of a write, in issue order
+     *  (indices into owSeq_). */
+    enum OwStep : std::uint32_t
+    {
+        owCode,
+        owAddress,
+        owSize,
+        owPayload,
+        owExecute,
+        owSteps,
     };
 
     /** Addressing phase of the in-progress micro-op. */
@@ -211,7 +213,9 @@ class ChannelController : public Clocked
      * broadcast to every member in lockstep. A full channel-width
      * aligned group under interleaving is one gang spanning every
      * module; everything else (Bare-metal and selective-erasing-only
-     * words, unaligned heads and tails, prefetches) has span 1.
+     * words, unaligned heads and tails) has span 1. A read issues
+     * wordOp; a write issues the channel's overlay-window sequence
+     * (owSeq_) from opIdx on.
      */
     struct SubOp
     {
@@ -223,8 +227,6 @@ class ChannelController : public Clocked
         std::uint32_t span = 1;
         bool isWrite = false;
         bool isZeroFill = false;
-        /** Speculative RDB-warm sub-op (stops after activate). */
-        bool isPrefetch = false;
         bool started = false;
         /** No member holds an older queued write to the word. Latched:
          *  writes enqueued later carry larger seqs, so once clear the
@@ -232,9 +234,7 @@ class ChannelController : public Clocked
         bool orderClear = false;
         /** Word index local to each member module. */
         std::uint64_t moduleWord = 0;
-        /** Partition the word lives in (program target). */
-        std::uint32_t targetPartition = 0;
-        std::uint32_t numOps = 0;
+        /** Next overlay-window step of a write. */
         std::uint32_t opIdx = 0;
         Phase phase = Phase::preActive;
         /** Earliest tick the current phase may issue. */
@@ -250,7 +250,9 @@ class ChannelController : public Clocked
         std::uint32_t pending = 0;
         /** Per-member RAB claims while a phase is in flight. */
         std::array<std::uint8_t, maxModules> rab{};
-        std::array<MicroOp, maxOps> ops;
+        /** The word's own access: a read's only micro-op; for a write,
+         *  its partition is the program target. */
+        MicroOp wordOp;
         /** Per-member write data, member i at i * 32. Left
          *  uninitialized for reads. */
         std::array<std::uint8_t, maxModules * maxUnitBytes> payload;
@@ -349,16 +351,6 @@ class ChannelController : public Clocked
         std::vector<Tick> rabLastUse;
         /** Started-but-unfinished sub-ops (row-buffer bound). */
         std::uint32_t inFlight = 0;
-        /** Next sequential module word a prefetch would warm. */
-        std::uint64_t nextPrefetchWord = 0;
-        /** Highest word the prefetcher may run ahead to (a few
-         *  rows past the last demand read; RDB capacity bounds the
-         *  useful depth anyway). */
-        std::uint64_t prefetchLimit = 0;
-        /** Whether a demand read has seeded the prefetcher. */
-        bool prefetchSeeded = false;
-        /** In-flight speculative sub-op (at most one). */
-        std::unique_ptr<SubOp> prefetch;
     };
 
     /** Outcome of a single scheduling attempt. */
@@ -390,20 +382,19 @@ class ChannelController : public Clocked
         return config_.interleaving && modules_.size() > 1;
     }
 
-    /** Create a sub-op of module word @p mword on modules
-     *  [@p module, @p module + @p span); the caller fills the payload
-     *  and then translates it. */
+    /** Translator: create a sub-op of module word @p mword on modules
+     *  [@p module, @p module + @p span); the caller fills a write's
+     *  payload. */
     std::unique_ptr<SubOp> makeSubOp(std::uint32_t module,
                                      std::uint32_t span,
                                      std::uint64_t mword, bool is_write);
 
-    /** Translator: expand @p sub into its micro-op sequence. */
-    void translate(SubOp &sub) const;
-
-    /** Build one micro-op writing @p value to overlay offset
-     *  @p ow_offset. */
-    MicroOp owWriteOp(const pram::PramModule &mod, std::uint32_t ow_offset,
-                      std::uint32_t value, std::uint32_t len) const;
+    /** @return the micro-op @p sub issues next. */
+    const MicroOp &
+    nextOp(const SubOp &sub) const
+    {
+        return sub.isWrite ? owSeq_[sub.opIdx] : sub.wordOp;
+    }
 
     /** @return module @p m's first free RAB holding @p op's upper row
      *  (-1: none). When @p inflight is given, it receives the earliest
@@ -452,10 +443,6 @@ class ChannelController : public Clocked
     /** Queue hinted module words [@p lo, @p hi) on module @p m. */
     void hintModule(std::uint32_t m, std::uint64_t lo, std::uint64_t hi);
 
-    /** @return true when the prefetcher of @p ms has, or may still
-     *  materialize, a speculative sub-op. */
-    bool prefetchLive(const ModuleState &ms) const;
-
     /** Materialize zero-fill sub-ops of span @p span starting at
      *  module @p module from @p hints into @p queue, up to the
      *  program-slot bound. Groups whose members no longer all need
@@ -466,10 +453,6 @@ class ChannelController : public Clocked
     /** Drop every not-yet-started zero-fill of @p mword from
      *  @p queue; members still worth erasing are re-hinted. */
     void cancelUnstartedZeroFill(SubOpQueue &queue, std::uint64_t mword);
-
-    /** Materialize a speculative RDB-warming sub-op for module
-     *  @p m when the prefetcher is enabled and idle. */
-    void materializePrefetch(std::uint32_t m);
 
     /** Record that sub-op @p sub finishes at @p when; @p failed masks
      *  the members whose program exhausted every verify retry. */
@@ -487,6 +470,10 @@ class ChannelController : public Clocked
     PramPhy phy_;
     std::vector<std::unique_ptr<pram::PramModule>> modules_;
     std::vector<ModuleState> moduleStates_;
+    /** A write's overlay-window register sequence. Every module
+     *  shares one geometry, so the translator decomposes it once; the
+     *  address step's value is each sub-op's module word. */
+    std::array<MicroOp, owSteps> owSeq_;
     /** Gang sub-ops (full channel-width bursts), in arrival order.
      *  Per-module ordering against the demand queues is enforced
      *  through pendingWrites / orderBlocked, as between the
@@ -497,8 +484,8 @@ class ChannelController : public Clocked
     std::uint32_t fullModules_ = 0;
     /** Modules with queued demand sub-ops (bit m = module m). */
     std::uint32_t demandModules_ = 0;
-    /** Modules that may have hint, zero-fill or prefetch work: set
-     *  when such work arrives, cleared when a scan finds none left. */
+    /** Modules that may have hint or zero-fill work: set when such
+     *  work arrives, cleared when a scan finds none left. */
     std::uint32_t speculativeModules_ = 0;
     /** Module holding the channel-wide FIFO head (Bare-metal; M when
      *  no demand is queued), recomputed after an enqueue or retire. */

@@ -7,7 +7,6 @@
 #ifndef DRAMLESS_CTRL_SCHEDULER_HH
 #define DRAMLESS_CTRL_SCHEDULER_HH
 
-#include <cstdint>
 #include <string>
 
 namespace dramless
@@ -36,31 +35,16 @@ struct SchedulerConfig
      */
     bool selectiveErasing = true;
 
-    /** Maximum outstanding demand words queued per module. */
-    std::uint32_t maxQueuePerModule = 64;
-
-    /**
-     * Sequential RDB prefetching (Section III-B: the server "tries
-     * to prefetch data by using all RDBs across different banks"):
-     * when a module is otherwise idle, speculatively pre-activate
-     * and sense the next sequential row into a free RDB so the next
-     * streaming demand read skips both addressing phases. Off by
-     * default; see bench/ablation_geometry for its effect.
-     */
-    bool rdbPrefetch = false;
-
     // The presets use designated initializers on purpose: positional
     // aggregate init silently mis-binds when a field is added or
-    // reordered (it already skipped rdbPrefetch once).
+    // reordered.
 
     /** @return Figure 13 "Bare-metal": noop scheduler. */
     static SchedulerConfig
     bareMetal()
     {
         return SchedulerConfig{.interleaving = false,
-                               .selectiveErasing = false,
-                               .maxQueuePerModule = 64,
-                               .rdbPrefetch = false};
+                               .selectiveErasing = false};
     }
 
     /** @return Figure 13 "Interleaving". */
@@ -68,9 +52,7 @@ struct SchedulerConfig
     interleavingOnly()
     {
         return SchedulerConfig{.interleaving = true,
-                               .selectiveErasing = false,
-                               .maxQueuePerModule = 64,
-                               .rdbPrefetch = false};
+                               .selectiveErasing = false};
     }
 
     /** @return Figure 13 "selective-erasing". */
@@ -78,9 +60,7 @@ struct SchedulerConfig
     selectiveErasingOnly()
     {
         return SchedulerConfig{.interleaving = false,
-                               .selectiveErasing = true,
-                               .maxQueuePerModule = 64,
-                               .rdbPrefetch = false};
+                               .selectiveErasing = true};
     }
 
     /** @return Figure 13 "Final": both techniques (DRAM-less default). */
@@ -88,9 +68,7 @@ struct SchedulerConfig
     finalConfig()
     {
         return SchedulerConfig{.interleaving = true,
-                               .selectiveErasing = true,
-                               .maxQueuePerModule = 64,
-                               .rdbPrefetch = false};
+                               .selectiveErasing = true};
     }
 
     /** @return a short label for tables. */

@@ -2,13 +2,14 @@
  * @file
  * Golden pin of the channel controller's exact behaviour on the
  * scheduler paths the benchmark workloads never take: every Figure 13
- * preset at 4 and 8 row buffers, plus Final with RDB prefetching.
- * Each configuration replays one seeded stream of words, aligned
- * channel pieces and unaligned multi-word requests, with selective-
- * erasing hints, fault injection (verify retries and exhausted
- * writes) and admission back-pressure, and pins the event count,
- * every controller counter, the latency sums and a hash of the
- * completion stream.
+ * preset at 4 and 8 row buffers. Each configuration replays one
+ * seeded stream of words, aligned channel pieces and unaligned
+ * multi-word requests, with selective-erasing hints, fault injection
+ * (verify retries and exhausted writes) and admission back-pressure,
+ * and pins the event count, every controller counter, the latency
+ * sums and a hash of the completion stream. The stream also drives
+ * the in-flight-sense wait: a row's RDB is warm while an earlier
+ * data burst still holds its RAB.
  *
  * Regenerate the pin with:
  *   DRAMLESS_UPDATE_GOLDEN=1 build/tests/ctrl/ctrl_tests \
@@ -191,7 +192,6 @@ replay(const std::string &label, const SchedulerConfig &cfg,
     put("activatesSkipped", s.activatesSkipped);
     put("zeroFillPrograms", s.zeroFillPrograms);
     put("zeroFillSkipped", s.zeroFillSkipped);
-    put("prefetchActivates", s.prefetchActivates);
     put("gangSubOps", s.gangSubOps);
     put("gangWords", s.gangWords);
     put("verifyRetries", s.verifyRetries);
@@ -209,8 +209,6 @@ TEST(ControllerReplayGoldenTest, EveryPresetMatchesGoldenFile)
         const char *name;
         SchedulerConfig cfg;
     };
-    SchedulerConfig prefetch = SchedulerConfig::finalConfig();
-    prefetch.rdbPrefetch = true;
     const Preset presets[] = {
         {"bare_metal", SchedulerConfig::bareMetal()},
         {"interleaving", SchedulerConfig::interleavingOnly()},
@@ -226,7 +224,6 @@ TEST(ControllerReplayGoldenTest, EveryPresetMatchesGoldenFile)
                          p.cfg, rb);
         }
     }
-    os << replay("final_prefetch_rb4", prefetch, 4);
     expectMatchesGolden(std::string(DRAMLESS_GOLDEN_DIR) +
                             "/controller_replay.txt",
                         os.str());
