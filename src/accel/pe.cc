@@ -118,10 +118,6 @@ ProcessingElement::step()
       case TraceItem::Kind::load:
       case TraceItem::Kind::store: {
         bool is_store = item_.kind == TraceItem::Kind::store;
-        if (is_store && !config_.writeAllocate) {
-            stepStoreNoAllocate();
-            return;
-        }
         // Walk the burst's words inside this one heap event,
         // accumulating cache-hit cycles; the walk pauses at the word
         // that needs a blocking action (L2 miss fill, store-queue
@@ -197,70 +193,6 @@ ProcessingElement::step()
       }
     }
     panic("%s: unreachable trace item kind", name_.c_str());
-}
-
-void
-ProcessingElement::stepStoreNoAllocate()
-{
-    // Walk the burst's words; contiguous missed stores merge into
-    // one posted write (one store-queue slot, one MCU request) so a
-    // coalesced burst crosses the PE-controller boundary once.
-    Cycles acc = 0;
-    std::uint64_t runStart = 0;
-    std::uint32_t runWords = 0;
-    auto flush_run = [&]() {
-        if (runWords == 0)
-            return;
-        ++storeQueueUsed_;
-        ++stats_.missedStoreWrites;
-        mcu_->write(runStart, item_.size * runWords,
-                    [this](Tick when) { storeDrained(when); });
-        runWords = 0;
-    };
-    while (burstDone_ < item_.burst) {
-        std::uint64_t addr =
-            item_.addr + std::uint64_t(burstDone_) * item_.size;
-        CacheAccessResult r1 = l1_.access(addr, true, false);
-        CacheAccessResult r2 =
-            r1.hit ? r1 : l2_.access(addr, true, false);
-        if (r1.hit || r2.hit) {
-            flush_run();
-            ++stats_.stores;
-            acc += r1.hit ? config_.l1.latencyCycles
-                          : config_.l2.latencyCycles;
-            ++burstDone_;
-            continue;
-        }
-        // Missed store: bypass the caches, drain through the store
-        // queue. Extending the open run costs no extra slot; opening
-        // one needs a free slot.
-        if (runWords == 0 &&
-            storeQueueUsed_ >= config_.storeQueueDepth) {
-            if (acc > 0) {
-                // Let the banked cycles elapse; the entry check
-                // stalls on re-entry if the queue is still full.
-                stats_.memAccessCycles += acc;
-                busySinceSample_ += cyclesToTicks(acc);
-                eventQueue().reschedule(&stepEvent_, clockEdge(acc));
-                return;
-            }
-            waitingStore_ = true;
-            stallStart_ = curTick();
-            return; // resumes when a queued store completes
-        }
-        if (runWords == 0)
-            runStart = addr;
-        ++runWords;
-        ++stats_.stores;
-        acc += Cycles(1);
-        ++burstDone_;
-    }
-    flush_run();
-    stats_.memAccessCycles += acc;
-    busySinceSample_ += cyclesToTicks(acc);
-    haveItem_ = false;
-    eventQueue().reschedule(&stepEvent_, clockEdge(std::max<Cycles>(
-        Cycles(1), acc)));
 }
 
 void

@@ -6,8 +6,9 @@
  * .S, .D) with private L1 and L2 caches. Agents are trace-driven:
  * compute bursts retire at the configured effective issue rate,
  * loads walk L1/L2 and stall the core on an L2 miss until the server
- * MCU returns the 512-byte block, and stores use a no-write-allocate
- * store queue whose backpressure exposes the backend's write latency.
+ * MCU returns the 512-byte block, and stores allocate in the caches
+ * like loads; dirty blocks drain through a posted-write queue whose
+ * backpressure exposes the backend's write latency.
  */
 
 #ifndef DRAMLESS_ACCEL_PE_HH
@@ -41,15 +42,7 @@ struct PeConfig
     double effectiveIssue = 4.0;
     CacheConfig l1 = CacheConfig::l1Default();
     CacheConfig l2 = CacheConfig::l2Default();
-    /**
-     * Allocate L2 lines on store misses (TI C66x behaviour). Misses
-     * then fetch the block like loads and dirty lines write back at
-     * block granularity. When false, missed stores bypass the caches
-     * and drain through the store queue at operand granularity.
-     */
-    bool writeAllocate = true;
-    /** Outstanding posted writes (missed stores + writebacks) before
-     *  the core stalls. */
+    /** Outstanding posted writebacks before the core stalls. */
     std::uint32_t storeQueueDepth = 16;
 };
 
@@ -64,7 +57,6 @@ struct PeStats
     std::uint64_t loads = 0;
     std::uint64_t stores = 0;
     std::uint64_t l2MissReads = 0;
-    std::uint64_t missedStoreWrites = 0;
     std::uint64_t writebackWrites = 0;
 };
 
@@ -120,14 +112,10 @@ class ProcessingElement : public Clocked
     void step();
     /** Resume after an L2 miss fill arrives. */
     void loadReturned(Tick when);
-    /** Handle a store under the no-write-allocate policy. */
-    void stepStoreNoAllocate();
     /** Post a write to the backend with store-queue accounting. */
     void postWrite(std::uint64_t addr, std::uint32_t size);
-    /** Resume after a missed store drains from the queue. */
+    /** Resume after a posted write drains from the queue. */
     void storeDrained(Tick when);
-    /** Handle an L2 fill including any dirty writeback. */
-    void fillL2(std::uint64_t addr, bool is_write);
     /** Trace exhausted: wait for stores, then report. */
     void maybeFinish();
 
