@@ -8,7 +8,8 @@
 #   DRAMLESS_JOBS    worker threads for parallel sweeps inside the
 #                    tests/benches (default: 2, so the thread pool is
 #                    exercised even on small CI machines)
-#   DRAMLESS_WERROR  set to ON to build with -Werror
+#   DRAMLESS_WERROR  build with -Werror (default: ON; set to OFF to
+#                    let warnings through)
 #   CMAKE_GENERATOR  honored as usual (e.g. Ninja)
 set -eu
 
@@ -18,9 +19,10 @@ jobs=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)
 
 : "${DRAMLESS_JOBS:=2}"
 export DRAMLESS_JOBS
+: "${DRAMLESS_WERROR:=ON}"
 
 cmake -B "$build_dir" -S "$repo_root" \
-    -DDRAMLESS_WERROR="${DRAMLESS_WERROR:-OFF}"
+    -DDRAMLESS_WERROR="$DRAMLESS_WERROR"
 cmake --build "$build_dir" -j "$jobs"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
@@ -57,7 +59,7 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 san_dir="$build_dir-asan"
 cmake -B "$san_dir" -S "$repo_root" \
     -DDRAMLESS_SANITIZE=ON \
-    -DDRAMLESS_WERROR="${DRAMLESS_WERROR:-OFF}"
+    -DDRAMLESS_WERROR="$DRAMLESS_WERROR"
 cmake --build "$san_dir" -j "$jobs" --target runner_tests \
     reliability_tests integrity_tests serve_tests pdes_tests \
     dnn_tests ctrl_tests core_tests systems_tests sim_tests \
@@ -86,7 +88,7 @@ cmake --build "$san_dir" -j "$jobs" --target runner_tests \
 tsan_dir="$build_dir-tsan"
 cmake -B "$tsan_dir" -S "$repo_root" \
     -DDRAMLESS_SANITIZE=thread \
-    -DDRAMLESS_WERROR="${DRAMLESS_WERROR:-OFF}"
+    -DDRAMLESS_WERROR="$DRAMLESS_WERROR"
 cmake --build "$tsan_dir" -j "$jobs" --target pdes_tests \
     runner_tests
 "$tsan_dir/tests/pdes/pdes_tests" \
@@ -112,7 +114,7 @@ cov_floor=${DRAMLESS_COVERAGE_FLOOR:-85}
 cov_dir="$build_dir-cov"
 cmake -B "$cov_dir" -S "$repo_root" \
     -DDRAMLESS_COVERAGE=ON \
-    -DDRAMLESS_WERROR="${DRAMLESS_WERROR:-OFF}"
+    -DDRAMLESS_WERROR="$DRAMLESS_WERROR"
 cmake --build "$cov_dir" -j "$jobs" --target workload_tests \
     dnn_tests
 "$cov_dir/tests/workload/workload_tests"

@@ -172,8 +172,9 @@ TEST(StartGapTest, BijectionAndGapCoverageProperty)
             // new gap (on wrap: from the top physical line).
             EXPECT_EQ(sg.movedTo(), gap_before);
             EXPECT_EQ(sg.movedFrom(), gap_after);
-            if (gap_before == 0)
+            if (gap_before == 0) {
                 EXPECT_EQ(gap_after, phys - 1) << "wrap must jump to top";
+            }
         } else {
             EXPECT_EQ(gap_after, gap_before) << "gap moved off-period";
         }

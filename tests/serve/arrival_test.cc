@@ -50,8 +50,9 @@ expectWellFormed(const std::vector<Request> &s, std::uint64_t count)
     ASSERT_EQ(s.size(), count);
     for (std::size_t i = 0; i < s.size(); ++i) {
         EXPECT_EQ(s[i].id, i);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(s[i].arrival, s[i - 1].arrival);
+        }
     }
 }
 

@@ -69,11 +69,13 @@ TEST(PolybenchTest, MemoryIntensiveKernelsCarryMostData)
 TEST(PolybenchTest, ComputeIntensiveKernelsHaveHighOpsPerByte)
 {
     for (const auto &s : Polybench::all()) {
-        if (s.klass == WorkloadClass::computeIntensive)
+        if (s.klass == WorkloadClass::computeIntensive) {
             EXPECT_GE(s.opsPerByte, 8.0) << s.name;
+        }
         if (s.klass == WorkloadClass::readIntensive ||
-            s.klass == WorkloadClass::memoryIntensive)
+            s.klass == WorkloadClass::memoryIntensive) {
             EXPECT_LE(s.opsPerByte, 4.0) << s.name;
+        }
     }
 }
 
@@ -154,9 +156,10 @@ TEST(TraceGenTest, StoreToLoadRatioMatchesSpec)
         double spec_ratio = double(tc.spec.outputBytes) /
                             double(tc.spec.inputBytes);
         // Stencils emit extra neighbour loads, lowering the ratio.
-        if (tc.spec.pattern != Pattern::stencil)
+        if (tc.spec.pattern != Pattern::stencil) {
             EXPECT_NEAR(ratio, spec_ratio, 0.15 * spec_ratio + 0.02)
                 << name;
+        }
         EXPECT_GE(s.storeBytes, src.storeBytes()) << name;
     }
 }
