@@ -1,14 +1,18 @@
 /**
  * @file
  * Tests of the WorkloadModel abstraction: the PolybenchModel adapter
- * must be a faithful drop-in for direct PolybenchTraceSource use, and
- * the Polybench descriptor helpers must stay total over their enums.
+ * must be a faithful drop-in for direct PolybenchTraceSource use, the
+ * Polybench descriptor helpers must stay total over their enums, and
+ * AgentTraceSource's staging buffer must hand out exactly what its
+ * producer's refills stage.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "workload/trace_gen.hh"
@@ -29,6 +33,92 @@ drain(accel::TraceSource &src)
     while (src.next(it))
         items.push_back(it);
     return items;
+}
+
+/**
+ * Stages scripted batches: the i-th refill stages batches[i] compute
+ * items numbered 1, 2, ... across the stream, and every refill after
+ * the last batch stages nothing.
+ */
+class BatchSource : public AgentTraceSource
+{
+  public:
+    explicit BatchSource(std::vector<std::size_t> batches)
+        : batches_(std::move(batches))
+    {}
+
+    void
+    rewind() override
+    {
+        batch_ = 0;
+        serial_ = 0;
+        dropStaged();
+    }
+
+    std::pair<std::uint64_t, std::uint64_t>
+    outputRegion() const override
+    {
+        return {0, 0};
+    }
+
+    std::size_t refills = 0;
+
+  private:
+    void
+    refill() override
+    {
+        ++refills;
+        EXPECT_EQ(staged(), 0u);
+        if (batch_ == batches_.size())
+            return;
+        for (std::size_t i = 0; i < batches_[batch_]; ++i)
+            stage(accel::TraceItem::computeOf(++serial_));
+        ++batch_;
+    }
+
+    std::vector<std::size_t> batches_;
+    std::size_t batch_ = 0;
+    std::uint64_t serial_ = 0;
+};
+
+void
+expectSerials(const std::vector<accel::TraceItem> &items,
+              std::uint64_t count)
+{
+    ASSERT_EQ(items.size(), count);
+    for (std::uint64_t i = 0; i < count; ++i)
+        EXPECT_EQ(items[i].instructions, i + 1);
+}
+
+TEST(AgentTraceSourceTest, YieldsEveryStagedItemInOrder)
+{
+    // The 100-item batch outgrows the buffer's initial capacity.
+    BatchSource src({1, 100, 3});
+    expectSerials(drain(src), 104);
+    // The fourth refill staged nothing and ended the trace.
+    EXPECT_EQ(src.refills, 4u);
+    accel::TraceItem it;
+    EXPECT_FALSE(src.next(it));
+    EXPECT_FALSE(src.next(it));
+}
+
+TEST(AgentTraceSourceTest, EmptyFirstRefillIsAnEmptyTrace)
+{
+    BatchSource src({});
+    accel::TraceItem it;
+    EXPECT_FALSE(src.next(it));
+    EXPECT_EQ(src.refills, 1u);
+}
+
+TEST(AgentTraceSourceTest, RewindMidBatchRestartsTheStream)
+{
+    BatchSource src({1, 100, 3});
+    accel::TraceItem it;
+    for (int i = 0; i < 11; ++i)
+        ASSERT_TRUE(src.next(it));
+    EXPECT_EQ(it.instructions, 11u);
+    src.rewind();
+    expectSerials(drain(src), 104);
 }
 
 TEST(WorkloadModelTest, ModelForAdaptsTheSpec)
