@@ -82,6 +82,7 @@ class SetAssocCache
                      (config.blockBytes & (config.blockBytes - 1)),
                  "%s: block size must be a power of two",
                  name_.c_str());
+        blockShift_ = std::uint32_t(__builtin_ctz(config.blockBytes));
         std::uint64_t blocks =
             config.capacityBytes / config.blockBytes;
         fatal_if(blocks == 0 || blocks % config.associativity != 0,
@@ -103,7 +104,7 @@ class SetAssocCache
     access(std::uint64_t addr, bool is_write, bool allocate = true)
     {
         CacheAccessResult res;
-        std::uint64_t block = addr / config_.blockBytes;
+        std::uint64_t block = addr >> blockShift_;
         std::uint64_t set = block & (numSets_ - 1);
         Line *lines = &sets_[set * config_.associativity];
 
@@ -132,8 +133,7 @@ class SetAssocCache
         }
         if (lines[victim].valid && lines[victim].dirty) {
             res.writeback = true;
-            res.writebackAddr =
-                lines[victim].tag * config_.blockBytes;
+            res.writebackAddr = lines[victim].tag << blockShift_;
             ++stats_.writebacks;
         }
         lines[victim] =
@@ -146,7 +146,7 @@ class SetAssocCache
     bool
     contains(std::uint64_t addr) const
     {
-        std::uint64_t block = addr / config_.blockBytes;
+        std::uint64_t block = addr >> blockShift_;
         std::uint64_t set = block & (numSets_ - 1);
         const Line *lines = &sets_[set * config_.associativity];
         for (std::uint32_t w = 0; w < config_.associativity; ++w) {
@@ -172,7 +172,7 @@ class SetAssocCache
         std::vector<std::uint64_t> out;
         for (const auto &line : sets_) {
             if (line.valid && line.dirty)
-                out.push_back(line.tag * config_.blockBytes);
+                out.push_back(line.tag << blockShift_);
         }
         return out;
     }
@@ -189,7 +189,7 @@ class SetAssocCache
     std::uint64_t
     blockBase(std::uint64_t addr) const
     {
-        return addr / config_.blockBytes * config_.blockBytes;
+        return addr >> blockShift_ << blockShift_;
     }
 
     const CacheConfig &config() const { return config_; }
@@ -206,6 +206,8 @@ class SetAssocCache
 
     CacheConfig config_;
     std::string name_;
+    /** log2(blockBytes). */
+    std::uint32_t blockShift_ = 0;
     std::uint64_t numSets_;
     std::vector<Line> sets_;
     std::uint64_t useClock_ = 0;
