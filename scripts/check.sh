@@ -39,13 +39,14 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 # NaN-indexing UB lived). The pdes suite joins under ASan because
 # the sharded kernel's mailbox envelopes and the co-sim fleet's
 # cross-cluster closures are heap-lifetime-sensitive by construction.
-# The dnn suite (ctest label dnn) rides along because its trace
-# source stages deques of items per tile pass and the differential
-# oracle walks every emitted word — the dense-iteration shape where
-# off-by-one indexing would hide. The controller suite joins because
-# the channel controller's issue path erases finished sub-ops from
-# their queues mid-call and indexes per-member RAB claims and payload
-# slices by hand. The facade (core), system-model (systems) and exact
+# The workload and dnn suites join because every trace source stages
+# its items in AgentTraceSource's staging buffer, whose head and tail
+# are indexed by hand, and the differential oracles walk every
+# emitted word — the dense-iteration shape where off-by-one indexing
+# would hide. The controller suite joins because the channel
+# controller's issue path erases finished sub-ops from their queues
+# mid-call and indexes per-member RAB claims and payload slices by
+# hand. The facade (core), system-model (systems) and exact
 # golden suites join because every integrated organization, the
 # serving node and the facade build their nodes through the shared
 # wiring in src/systems/node.*, whose launches point into trace
@@ -62,14 +63,15 @@ cmake -B "$san_dir" -S "$repo_root" \
     -DDRAMLESS_WERROR="$DRAMLESS_WERROR"
 cmake --build "$san_dir" -j "$jobs" --target runner_tests \
     reliability_tests integrity_tests serve_tests pdes_tests \
-    dnn_tests ctrl_tests core_tests systems_tests sim_tests \
-    accel_tests flash_tests energy_tests
+    workload_tests dnn_tests ctrl_tests core_tests systems_tests \
+    sim_tests accel_tests flash_tests energy_tests
 "$san_dir/tests/runner/runner_tests" \
     --gtest_filter='DeterminismTest.*:GoldenTest.*'
 "$san_dir/tests/reliability/reliability_tests"
 "$san_dir/tests/systems/integrity_tests"
 "$san_dir/tests/serve/serve_tests"
 "$san_dir/tests/pdes/pdes_tests"
+"$san_dir/tests/workload/workload_tests"
 "$san_dir/tests/workload/dnn_tests"
 "$san_dir/tests/ctrl/ctrl_tests"
 "$san_dir/tests/core/core_tests"
