@@ -26,6 +26,13 @@ cmake -B "$build_dir" -S "$repo_root" \
 cmake --build "$build_dir" -j "$jobs"
 ctest --test-dir "$build_dir" --output-on-failure -j "$jobs"
 
+# Stage 1b: simulated results unchanged. perfbench (built through
+# perfbench/run.py) runs one pass of each workload at seeds 1 and
+# 8191; every statistics digest and event count must equal the
+# committed scripts/perfbench_digests.txt. A change that alters
+# simulated results edits that manifest and says why in CHANGES.md.
+python3 "$repo_root/scripts/check_digests.py"
+
 # Stage 2: ASan+UBSan profile. The runner determinism suite is the
 # highest-value target under sanitizers: it exercises the thread
 # pool, the trace merge path, and every system model end to end. The
