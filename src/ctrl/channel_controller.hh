@@ -33,6 +33,7 @@
 #include "reliability/fault_model.hh"
 #include "sim/clocked.hh"
 #include "sim/completion_queue.hh"
+#include "sim/paged_array.hh"
 #include "sim/stats.hh"
 
 namespace dramless
@@ -285,38 +286,6 @@ class ChannelController : public Clocked
         bool failed = false;
         /** Channel-local byte address of the first failed word. */
         std::uint64_t failedAddr = 0;
-    };
-
-    /** A set of module words: a bitmap whose 4 KiB pages are
-     *  allocated on first touch. */
-    class WordBitmap
-    {
-      public:
-        bool
-        test(std::uint64_t w) const
-        {
-            const std::uint64_t p = w >> pageShift;
-            return p < pages_.size() && pages_[p] &&
-                   ((*pages_[p])[(w & pageMask) >> 6] >> (w & 63) & 1);
-        }
-
-        void
-        set(std::uint64_t w)
-        {
-            const std::uint64_t p = w >> pageShift;
-            if (p >= pages_.size())
-                pages_.resize(p + 1);
-            if (!pages_[p])
-                pages_[p] = std::make_unique<Page>();
-            (*pages_[p])[(w & pageMask) >> 6] |= std::uint64_t(1) << (w & 63);
-        }
-
-      private:
-        static constexpr unsigned pageShift = 15;
-        static constexpr std::uint64_t pageMask =
-            (std::uint64_t(1) << pageShift) - 1;
-        using Page = std::array<std::uint64_t, (pageMask + 1) / 64>;
-        std::vector<std::unique_ptr<Page>> pages_;
     };
 
     /** A queued demand write: the read hazard on its word. */

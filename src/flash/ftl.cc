@@ -20,7 +20,6 @@ Ftl::Ftl(FlashArray &array, const FtlConfig &config, std::string name)
                                cfgBlocks_ * cfgPages_;
     logicalPages_ = std::uint64_t(
         double(phys_pages) * (1.0 - config.overProvision));
-    l2p_.resize((logicalPages_ + l2pChunkPages - 1) / l2pChunkPages);
 
     blocks_.resize(acfg.numDies());
     dies_.resize(acfg.numDies());
@@ -48,7 +47,7 @@ Ftl::isMapped(std::uint64_t lpn) const
 {
     panic_if(lpn >= logicalPages_, "%s: lpn out of range",
              name_.c_str());
-    return l2pGet(lpn) != unmapped;
+    return l2p_.get(lpn) != unmapped;
 }
 
 PhysPage
@@ -76,7 +75,7 @@ Ftl::allocatePage(std::uint32_t die)
 void
 Ftl::invalidate(std::uint64_t lpn)
 {
-    std::uint64_t old = l2pGet(lpn);
+    std::uint64_t old = l2p_.get(lpn);
     if (old == unmapped)
         return;
     PhysPage p = decodePpn(old);
@@ -84,7 +83,7 @@ Ftl::invalidate(std::uint64_t lpn)
     panic_if(blk.validPages == 0, "invalidate on empty block");
     --blk.validPages;
     blk.setLpn(p.page, -1, cfgPages_);
-    l2pRef(lpn) = unmapped;
+    l2p_.ref(lpn) = unmapped;
 }
 
 void
@@ -92,7 +91,7 @@ Ftl::populate(std::uint64_t lpn)
 {
     panic_if(lpn >= logicalPages_, "%s: lpn out of range",
              name_.c_str());
-    if (l2pGet(lpn) != unmapped)
+    if (l2p_.get(lpn) != unmapped)
         return;
     std::uint32_t die =
         std::uint32_t(nextDieRR_++ % array_.config().numDies());
@@ -100,7 +99,7 @@ Ftl::populate(std::uint64_t lpn)
     BlockInfo &blk = blockInfo(p.die, p.block);
     blk.setLpn(p.page, std::int64_t(lpn), cfgPages_);
     ++blk.validPages;
-    l2pRef(lpn) = ppnOf(p.die, p.block, p.page);
+    l2p_.ref(lpn) = ppnOf(p.die, p.block, p.page);
 }
 
 Tick
@@ -110,10 +109,10 @@ Ftl::readPage(std::uint64_t lpn, Tick earliest)
              name_.c_str());
     // Reading data that was never written: treat it as pre-staged
     // (the evaluations initialize inputs in storage beforehand).
-    if (l2pGet(lpn) == unmapped)
+    if (l2p_.get(lpn) == unmapped)
         populate(lpn);
     ++stats_.hostPagesRead;
-    return array_.readPage(decodePpn(l2pGet(lpn)), earliest);
+    return array_.readPage(decodePpn(l2p_.get(lpn)), earliest);
 }
 
 Tick
@@ -135,7 +134,7 @@ Ftl::writePage(std::uint64_t lpn, Tick earliest)
     BlockInfo &blk = blockInfo(p.die, p.block);
     blk.setLpn(p.page, std::int64_t(lpn), cfgPages_);
     ++blk.validPages;
-    l2pRef(lpn) = ppnOf(p.die, p.block, p.page);
+    l2p_.ref(lpn) = ppnOf(p.die, p.block, p.page);
     ++stats_.hostPagesWritten;
     return array_.programPage(p, t);
 }
@@ -176,7 +175,7 @@ Ftl::collectGarbage(std::uint32_t die, Tick earliest)
         BlockInfo &dblk = blockInfo(dst.die, dst.block);
         dblk.setLpn(dst.page, lpn, cfgPages_);
         ++dblk.validPages;
-        l2pRef(std::uint64_t(lpn)) =
+        l2p_.ref(std::uint64_t(lpn)) =
             ppnOf(dst.die, dst.block, dst.page);
         t = array_.programPage(dst, t);
         ++stats_.pagesMigrated;

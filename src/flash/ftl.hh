@@ -8,14 +8,13 @@
 #ifndef DRAMLESS_FLASH_FTL_HH
 #define DRAMLESS_FLASH_FTL_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "flash/flash_device.hh"
+#include "sim/paged_array.hh"
 
 namespace dramless
 {
@@ -149,30 +148,6 @@ class Ftl
 
     BlockInfo &blockInfo(std::uint32_t die, std::uint32_t block);
 
-    /** Entries per lazily-allocated L2P chunk (512 KiB a chunk). */
-    static constexpr std::uint64_t l2pChunkPages = 1u << 16;
-
-    /** @return the mapping for @p lpn; unmapped when the chunk was
-     *  never written. */
-    std::uint64_t
-    l2pGet(std::uint64_t lpn) const
-    {
-        const auto &chunk = l2p_[lpn / l2pChunkPages];
-        return chunk ? chunk[lpn % l2pChunkPages] : unmapped;
-    }
-
-    /** @return a writable slot for @p lpn, materializing its chunk. */
-    std::uint64_t &
-    l2pRef(std::uint64_t lpn)
-    {
-        auto &chunk = l2p_[lpn / l2pChunkPages];
-        if (!chunk) {
-            chunk = std::make_unique<std::uint64_t[]>(l2pChunkPages);
-            std::fill_n(chunk.get(), l2pChunkPages, unmapped);
-        }
-        return chunk[lpn % l2pChunkPages];
-    }
-
     /** Allocate the next physical page on @p die (no timing). */
     PhysPage allocatePage(std::uint32_t die);
 
@@ -188,10 +163,10 @@ class Ftl
     std::uint32_t cfgBlocks_;
     std::uint32_t cfgPages_;
     std::uint64_t logicalPages_;
-    /** Chunked L2P table: a null chunk is wholly unmapped. The flat
-     *  eager table this replaces dominated construction time (the
-     *  runner builds four FTLs per sweep repetition). */
-    std::vector<std::unique_ptr<std::uint64_t[]>> l2p_;
+    /** L2P table in 512 KiB pages, allocated on first write: an eager
+     *  flat table dominated construction time (the runner builds four
+     *  FTLs per sweep repetition). */
+    PagedArray<std::uint64_t, 16> l2p_{unmapped};
     std::vector<std::vector<BlockInfo>> blocks_; // [die][block]
     std::vector<DieState> dies_;
     std::uint64_t nextDieRR_ = 0;
