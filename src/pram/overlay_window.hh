@@ -35,7 +35,7 @@ constexpr std::uint32_t addressReg = 0x8B;
 constexpr std::uint32_t multiPurposeReg = 0x93;
 /** Execute register: writing it launches the programmed operation. */
 constexpr std::uint32_t executeReg = 0xC0;
-/** Status register: progress of the in-flight partition operation. */
+/** Status register: progress of the in-flight programs. */
 constexpr std::uint32_t statusReg = 0xC8;
 /** Start of the program buffer. */
 constexpr std::uint32_t programBufferBase = 0x800;
@@ -46,8 +46,6 @@ enum Command : std::uint32_t
     cmdNone = 0x00,
     /** Buffered word program via the program buffer. */
     cmdBufferProgram = 0xE9,
-    /** Bulk partition erase. */
-    cmdPartitionErase = 0x20,
 };
 
 /** Status register values. */
@@ -128,7 +126,9 @@ class OverlayWindow
           case ow::multiPurposeReg:
             return multiPurpose_;
           case ow::statusReg:
-            return status_;
+            // The window alone runs nothing; reads through the owning
+            // module report its program progress instead.
+            return ow::statusReady;
           default:
             panic("read of unknown overlay register 0x%x", offset);
         }
@@ -169,16 +169,12 @@ class OverlayWindow
     /** @return the currently latched burst size in bytes. */
     std::uint32_t multiPurpose() const { return multiPurpose_; }
 
-    /** Owner hook: mark the window busy/ready. */
-    void setStatus(std::uint32_t s) { status_ = s; }
-
   private:
     std::uint64_t base_ = 0;
     std::uint32_t code_ = ow::cmdNone;
     std::uint64_t address_ = 0;
     std::uint32_t multiPurpose_ = 0;
     std::uint32_t execute_ = 0;
-    std::uint32_t status_ = ow::statusReady;
     std::vector<std::uint8_t> programBuffer_;
 };
 

@@ -208,28 +208,16 @@ PramModule::writeBurst(std::uint32_t ba, std::uint32_t column,
 void
 PramModule::execute(Tick start)
 {
+    panic_if(window_.code() != ow::cmdBufferProgram,
+             "%s: execute with unknown command code 0x%x", name_.c_str(),
+             window_.code());
     // Prune completed programs, then claim a slot.
     std::erase_if(programEnds_,
                   [start](Tick t) { return t <= start; });
     panic_if(programEnds_.size() >= geom_.programSlots,
              "%s: execute with no free program slot", name_.c_str());
     lastProgramVerifyFailed_ = false;
-    switch (window_.code()) {
-      case ow::cmdBufferProgram:
-        startProgram(start);
-        break;
-      case ow::cmdPartitionErase:
-        startErase(start);
-        break;
-      default:
-        panic("%s: execute with unknown command code 0x%x",
-              name_.c_str(), window_.code());
-    }
-}
 
-void
-PramModule::startProgram(Tick start)
-{
     std::uint64_t first_word = window_.address();
     std::uint32_t bytes = window_.multiPurpose();
     panic_if(bytes == 0, "%s: zero-byte program", name_.c_str());
@@ -297,8 +285,10 @@ PramModule::startProgram(Tick start)
         }
         occupyPartition(d.partition, when, when + latency);
         partitions_[d.partition].programCount++;
-        setWordPristine(d.partition, d.row,
-                        kind == ProgramKind::resetOnly);
+        if (kind == ProgramKind::resetOnly)
+            pristine_.set(word_idx);
+        else
+            pristine_.reset(word_idx);
         if (store_)
             store_->write(addr, word.data(), geom_.rowBufferBytes);
 
@@ -324,33 +314,6 @@ PramModule::startProgram(Tick start)
         t->counter(trace::catPram, name_, "programSlotsBusy", start,
                    double(programEnds_.size()));
     }
-}
-
-void
-PramModule::startErase(Tick start)
-{
-    std::uint32_t partition = std::uint32_t(window_.address());
-    panic_if(partition >= geom_.partitionsPerBank,
-             "%s: erase of nonexistent partition %u", name_.c_str(),
-             partition);
-    Partition &part = partitions_[partition];
-    panic_if(part.busyUntil > start,
-             "%s: erase launched on busy partition", name_.c_str());
-    occupyPartition(partition, start, start + timing_.eraseLatency);
-    // Every sensed copy of this partition goes stale.
-    for (Rdb &rdb : rdbs_) {
-        if (rdb.valid && !rdb.overlay && rdb.partition == partition)
-            rdb.valid = false;
-    }
-    part.mostlyPristine = true;
-    part.exceptions.clear();
-    Tick end = start + timing_.eraseLatency;
-    programEnds_.push_back(end);
-    lastProgramEnd_ = end;
-    programBusyUntil_ = std::max(programBusyUntil_, end);
-    ++stats_.numErases;
-    if (auto *t = trace::current())
-        t->complete(trace::catPram, name_, "erase", start, end);
 }
 
 void
@@ -386,9 +349,10 @@ PramModule::partitionProgramCount(std::uint32_t partition) const
 bool
 PramModule::wordIsPristine(std::uint64_t word_index) const
 {
-    std::uint64_t addr = word_index * geom_.rowBufferBytes;
-    DecomposedAddress d = decomposer_.decompose(addr);
-    return rowIsPristine(d.partition, d.row);
+    panic_if(word_index >= geom_.moduleBytes() / geom_.rowBufferBytes,
+             "%s: word %llu beyond module capacity", name_.c_str(),
+             (unsigned long long)word_index);
+    return pristine_.test(word_index);
 }
 
 bool
@@ -462,27 +426,6 @@ PramModule::programLatency(ProgramKind kind) const
 }
 
 void
-PramModule::setWordPristine(std::uint32_t partition, std::uint64_t row,
-                            bool pristine)
-{
-    Partition &part = partitions_[partition];
-    bool is_exception = (pristine != part.mostlyPristine);
-    if (is_exception)
-        part.exceptions.insert(row);
-    else
-        part.exceptions.erase(row);
-}
-
-bool
-PramModule::rowIsPristine(std::uint32_t partition,
-                          std::uint64_t row) const
-{
-    const Partition &part = partitions_[partition];
-    bool is_exception = part.exceptions.count(row) > 0;
-    return part.mostlyPristine != is_exception;
-}
-
-void
 PramModule::functionalWrite(std::uint64_t addr, const void *src,
                             std::uint64_t len)
 {
@@ -491,11 +434,8 @@ PramModule::functionalWrite(std::uint64_t addr, const void *src,
     // Data now exists in the array: mark the covered words programmed.
     std::uint64_t first = addr / geom_.rowBufferBytes;
     std::uint64_t last = (addr + len - 1) / geom_.rowBufferBytes;
-    for (std::uint64_t w = first; w <= last; ++w) {
-        DecomposedAddress d =
-            decomposer_.decompose(w * geom_.rowBufferBytes);
-        setWordPristine(d.partition, d.row, false);
-    }
+    for (std::uint64_t w = first; w <= last; ++w)
+        pristine_.reset(w);
 }
 
 void

@@ -17,7 +17,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "pram/address.hh"
@@ -27,6 +26,7 @@
 #include "reliability/fault_model.hh"
 #include "sim/clocked.hh"
 #include "sim/event_queue.hh"
+#include "sim/paged_array.hh"
 #include "sim/sparse_memory.hh"
 
 namespace dramless
@@ -66,7 +66,6 @@ struct ModuleStats
     std::uint64_t numPristinePrograms = 0;
     std::uint64_t numOverwrites = 0;
     std::uint64_t numResetOnlyPrograms = 0;
-    std::uint64_t numErases = 0;
     std::uint64_t bytesRead = 0;
     std::uint64_t bytesWritten = 0;
     /** Program words that failed device-side verification. */
@@ -77,7 +76,10 @@ struct ModuleStats
 
 /**
  * One PRAM module (chip): a bank of 16 partitions fronted by four
- * RAB/RDB pairs, a program buffer, and an overlay window.
+ * RAB/RDB pairs, a program buffer, and an overlay window. The only
+ * command the window executes is the buffered program: the controller
+ * never bulk-erases a partition, it pre-RESETs single words with
+ * all-zero programs instead (selective erasing, Section V-A).
  */
 class PramModule : public Clocked
 {
@@ -187,7 +189,7 @@ class PramModule : public Clocked
      */
     Tick programSlotFreeAt() const;
     /** @return completion tick of the most recently launched
-     *  program/erase operation. */
+     *  program. */
     Tick lastProgramEnd() const { return lastProgramEnd_; }
 
     /** @return number of programs a partition has absorbed (wear). */
@@ -304,26 +306,15 @@ class PramModule : public Clocked
     struct Partition
     {
         Tick busyUntil = 0;
-        /** After a bulk erase the default word state flips. */
-        bool mostlyPristine = false;
-        /** Words in the opposite of the default state. */
-        std::unordered_set<std::uint64_t> exceptions;
         std::uint64_t programCount = 0;
     };
 
-    /** Launch the operation latched in the overlay window registers. */
+    /** Launch the buffered program latched in the overlay window
+     *  registers: the words in the program buffer, serially. */
     void execute(Tick start);
-    /** Program @p len bytes from the program buffer to the array. */
-    void startProgram(Tick start);
-    /** Bulk-erase the partition named in the address register. */
-    void startErase(Tick start);
 
     /** Mark a partition busy and account the stats. */
     void occupyPartition(std::uint32_t partition, Tick from, Tick until);
-
-    void setWordPristine(std::uint32_t partition, std::uint64_t row,
-                         bool pristine);
-    bool rowIsPristine(std::uint32_t partition, std::uint64_t row) const;
 
     PramGeometry geom_;
     PramTiming timing_;
@@ -338,9 +329,12 @@ class PramModule : public Clocked
     /** Completion ticks of in-flight programs (bounded by
      *  geometry().programSlots). */
     std::vector<Tick> programEnds_;
-    /** The word startProgram is programming, copied out of the
-     *  program buffer (sized once, reused by every program). */
+    /** The word execute() is programming, copied out of the program
+     *  buffer (sized once, reused by every program). */
     std::vector<std::uint8_t> programWord_;
+    /** Words whose last program was RESET-only and that no functional
+     *  write has touched since; every other word is programmed. */
+    WordBitmap pristine_;
     std::unique_ptr<SparseMemory> store_;
     ModuleStats stats_;
 
