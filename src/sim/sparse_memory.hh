@@ -44,18 +44,6 @@ class SparseMemory
     /** @return addressable capacity in bytes. */
     std::uint64_t capacity() const { return capacity_; }
 
-    /**
-     * Pre-size the block table for @p bytes of expected traffic,
-     * avoiding rehashes (which are pure overhead on the hot path)
-     * while the working set grows to that size.
-     */
-    void
-    reserve(std::uint64_t bytes)
-    {
-        blocks_.reserve(std::size_t(
-            (bytes + blockBytes_ - 1) / blockBytes_));
-    }
-
     /** Read @p len bytes at @p addr into @p out. */
     void
     read(std::uint64_t addr, void *out, std::uint64_t len) const
@@ -97,29 +85,6 @@ class SparseMemory
         }
     }
 
-    /** Fill @p len bytes at @p addr with @p value. */
-    void
-    fill(std::uint64_t addr, std::uint8_t value, std::uint64_t len)
-    {
-        checkRange(addr, len);
-        while (len > 0) {
-            std::uint64_t block = addr / blockBytes_;
-            std::uint32_t off = std::uint32_t(addr % blockBytes_);
-            std::uint64_t chunk = std::min<std::uint64_t>(
-                len, blockBytes_ - off);
-            if (value == 0 && off == 0 && chunk == blockBytes_) {
-                if (mruBlock_ == block)
-                    mruData_ = nullptr;
-                blocks_.erase(block);
-            } else {
-                std::memset(materializeBlock(block).data() + off,
-                            value, chunk);
-            }
-            addr += chunk;
-            len -= chunk;
-        }
-    }
-
     /** @return number of blocks physically allocated. */
     std::size_t allocatedBlocks() const { return blocks_.size(); }
 
@@ -155,8 +120,8 @@ class SparseMemory
         auto &data = blocks_[block];
         if (data.empty())
             data.assign(blockBytes_, 0);
-        // Map values are node-stable, so caching the pointer is safe
-        // until this exact block is erased (fill() invalidates then).
+        // Map values are node-stable and blocks are never freed, so
+        // the cached pointer stays valid.
         mruBlock_ = block;
         mruData_ = &data;
         return data;
