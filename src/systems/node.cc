@@ -23,8 +23,7 @@ pramConfig(const SystemOptions &opts,
            const ctrl::SchedulerConfig &scheduler)
 {
     ctrl::SubsystemConfig cfg;
-    cfg.scheduler = opts.schedulerOverride ? *opts.schedulerOverride
-                                           : scheduler;
+    cfg.scheduler = scheduler;
     if (opts.geometryOverride)
         cfg.geometry = *opts.geometryOverride;
     cfg.functional = opts.functional;

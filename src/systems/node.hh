@@ -30,10 +30,9 @@ namespace systems
 {
 
 /**
- * @return the PRAM subsystem @p opts asks for: its scheduler
- * override, or the organization's @p scheduler when none is set, and
- * its geometry override, functional stores, wear leveling and
- * reliability knobs.
+ * @return the PRAM subsystem of an organization that runs
+ * @p scheduler, with the geometry override, functional stores, wear
+ * leveling and reliability knobs @p opts asks for.
  */
 ctrl::SubsystemConfig pramConfig(const SystemOptions &opts,
                                  const ctrl::SchedulerConfig &scheduler);

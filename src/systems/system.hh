@@ -11,7 +11,6 @@
 #include <string>
 
 #include "accel/accelerator.hh"
-#include "ctrl/scheduler.hh"
 #include "pram/geometry.hh"
 #include "reliability/fault_model.hh"
 #include "energy/energy_model.hh"
@@ -43,8 +42,6 @@ struct SystemOptions
     /** Kernel image size shipped per launch (TI C66x kernel code
      *  segments are compact). */
     std::uint64_t imageBytes = 16 * 1024;
-    /** Override the DRAM-less scheduler (Figure 13 variants). */
-    std::optional<ctrl::SchedulerConfig> schedulerOverride;
     /** Override the PRAM geometry (ablation studies). */
     std::optional<pram::PramGeometry> geometryOverride;
     /** Keep functional backing stores (slower, data-checked). */
