@@ -63,7 +63,9 @@ python3 "$repo_root/scripts/check_digests.py"
 # contract in sim/trace.hh): a name that dangles shows up here. The
 # flash and energy suites join because the SSD, the NOR-interface
 # PRAM and the test backends own completion queues whose callbacks
-# re-enter the device while a batch is firing.
+# re-enter the device while a batch is firing. The PRAM module suite
+# joins because the module copies program-buffer and row-buffer bytes
+# by offset, and its death tests pin the bounds checks on them.
 san_dir="$build_dir-asan"
 cmake -B "$san_dir" -S "$repo_root" \
     -DDRAMLESS_SANITIZE=ON \
@@ -71,7 +73,7 @@ cmake -B "$san_dir" -S "$repo_root" \
 cmake --build "$san_dir" -j "$jobs" --target runner_tests \
     reliability_tests integrity_tests serve_tests pdes_tests \
     workload_tests dnn_tests ctrl_tests core_tests systems_tests \
-    sim_tests accel_tests flash_tests energy_tests
+    sim_tests accel_tests flash_tests energy_tests pram_tests
 "$san_dir/tests/runner/runner_tests" \
     --gtest_filter='DeterminismTest.*:GoldenTest.*'
 "$san_dir/tests/reliability/reliability_tests"
@@ -87,6 +89,7 @@ cmake --build "$san_dir" -j "$jobs" --target runner_tests \
 "$san_dir/tests/accel/accel_tests"
 "$san_dir/tests/flash/flash_tests"
 "$san_dir/tests/energy/energy_tests"
+"$san_dir/tests/pram/pram_tests"
 
 # Stage 2b: ThreadSanitizer profile. TSan sees what ASan cannot:
 # data races between the sharded event kernel's worker threads
