@@ -42,6 +42,8 @@ struct GraphConfig
     /** R-MAT quadrant probabilities (d = 1 - a - b - c). */
     double a = 0.57, b = 0.19, c = 0.19;
     std::uint64_t seed = 42;
+
+    bool operator==(const GraphConfig &) const = default;
 };
 
 /**
@@ -53,6 +55,16 @@ class GraphModel
 {
   public:
     explicit GraphModel(const GraphConfig &cfg);
+
+    /**
+     * @return the live graph of a config equal to @p cfg, building it
+     * when none is alive. The process-wide table holds only weak
+     * references, so a graph lives exactly as long as its users and
+     * a config asked for after its last user is gone builds afresh.
+     * Thread-safe; a build holds the table's lock.
+     */
+    static std::shared_ptr<const GraphModel>
+    shared(const GraphConfig &cfg);
 
     std::uint64_t numVertices() const { return config_.numVertices; }
     std::uint64_t numEdges() const { return colIdx_.size(); }
