@@ -9,14 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "runner/sweep_runner.hh"
 #include "runner/trace_export.hh"
 #include "sim/logging.hh"
+#include "workload/graph.hh"
 
 namespace dramless
 {
@@ -172,6 +175,84 @@ TEST(DeterminismTest, ParallelSweepMatchesSerialSweep)
     for (std::size_t i = 0; i < ref.size(); ++i) {
         SCOPED_TRACE(jobs[i].system + "/" + jobs[i].workload);
         expectResultIdentical(ref[i], par[i]);
+    }
+}
+
+/** Forwards to a wrapped model and counts its scaled() calls. */
+class ScaleCountingModel : public workload::WorkloadModel
+{
+  public:
+    explicit ScaleCountingModel(
+        std::shared_ptr<const workload::WorkloadModel> inner)
+        : inner_(std::move(inner))
+    {}
+
+    const workload::WorkloadSpec &
+    spec() const override
+    {
+        return inner_->spec();
+    }
+
+    std::shared_ptr<const workload::WorkloadModel>
+    scaled(double factor) const override
+    {
+        ++scaledCalls;
+        return inner_->scaled(factor);
+    }
+
+    std::shared_ptr<const workload::WorkloadModel>
+    chunked(std::uint32_t chunks) const override
+    {
+        return inner_->chunked(chunks);
+    }
+
+    std::unique_ptr<workload::AgentTraceSource>
+    makeAgentTrace(const workload::AgentTraceParams &p) const override
+    {
+        return inner_->makeAgentTrace(p);
+    }
+
+    mutable std::atomic<int> scaledCalls{0};
+
+  private:
+    std::shared_ptr<const workload::WorkloadModel> inner_;
+};
+
+TEST(DeterminismTest, ModelMatrixScalesEachModelOnce)
+{
+    const auto opts = tinyOptions();
+    const std::vector<SystemKind> kinds = {
+        SystemKind::dramLess,
+        SystemKind::integratedSlc,
+        SystemKind::hetero,
+    };
+    workload::GraphWorkloadConfig graph;
+    graph.kernel = workload::GraphKernel::pagerank;
+    graph.graph.numVertices = 4096;
+    const std::vector<std::shared_ptr<ScaleCountingModel>> counted = {
+        std::make_shared<ScaleCountingModel>(
+            std::make_shared<workload::GraphWorkload>(graph)),
+        std::make_shared<ScaleCountingModel>(workload::modelFor(
+            workload::Polybench::byName("gemver"))),
+    };
+    const std::vector<std::shared_ptr<const workload::WorkloadModel>>
+        models(counted.begin(), counted.end());
+
+    auto jobs = runner::makeMatrixJobs(kinds, models, opts);
+    auto results = SweepRunner(2).run(jobs);
+    for (const auto &m : counted)
+        EXPECT_EQ(m->scaledCalls.load(), 1) << m->spec().name;
+
+    // The per-run path scales the model inside every run.
+    std::size_t i = 0;
+    for (SystemKind kind : kinds) {
+        for (const auto &m : models) {
+            SCOPED_TRACE(jobs[i].system + "/" + jobs[i].workload);
+            EXPECT_EQ(jobs[i].workload, m->spec().name);
+            expectResultIdentical(runner::makeJob(kind, m, opts).run(),
+                                  results[i]);
+            ++i;
+        }
     }
 }
 
