@@ -1,7 +1,5 @@
 #include "workload/coalesce.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace dramless
@@ -11,13 +9,12 @@ namespace workload
 
 CoalescingTraceSource::CoalescingTraceSource(
     std::unique_ptr<AgentTraceSource> inner,
-    std::uint32_t maxBurstBytes, std::uint32_t ways)
-    : inner_(std::move(inner)), maxBurstBytes_(maxBurstBytes)
+    std::uint32_t maxBurstBytes)
+    : inner_(std::move(inner)), maxBurstBytes_(maxBurstBytes),
+      ways_(kWays)
 {
     fatal_if(inner_ == nullptr, "coalescer: null inner source");
-    fatal_if(maxBurstBytes_ == 0 || ways == 0,
-             "coalescer: zero burst size or way count");
-    ways_.resize(std::max<std::uint32_t>(1, ways));
+    fatal_if(maxBurstBytes_ == 0, "coalescer: zero burst size");
 }
 
 bool

@@ -47,11 +47,12 @@ class CoalescingTraceSource : public AgentTraceSource
      *        never crosses a maxBurstBytes-aligned boundary, so
      *        aligned consumers (L2 blocks, channel stripes) see
      *        aligned bursts.
-     * @param ways concurrently open runs before LRU eviction.
      */
     CoalescingTraceSource(std::unique_ptr<AgentTraceSource> inner,
-                          std::uint32_t maxBurstBytes,
-                          std::uint32_t ways = 4);
+                          std::uint32_t maxBurstBytes);
+
+    /** Concurrently open runs before LRU eviction. */
+    static constexpr std::uint32_t kWays = 4;
 
     void rewind() override;
 

@@ -271,21 +271,21 @@ TEST(CoalesceTest, OverlappingWordFlushesTheOpenRun)
 
 TEST(CoalesceTest, LruRunEvictsWhenWaysExhaust)
 {
-    // Five disjoint single-word streams against 4 ways: the oldest
-    // run is evicted (flushed) to make room.
+    // One more disjoint single-word stream than there are ways: the
+    // oldest run is evicted (flushed) to make room.
+    constexpr std::uint64_t streams = CoalescingTraceSource::kWays + 1;
     std::vector<TraceItem> in;
-    for (std::uint64_t s = 0; s < 5; ++s)
+    for (std::uint64_t s = 0; s < streams; ++s)
         in.push_back(TraceItem::loadOf(s * 4096, 32));
-    CoalescingTraceSource c(
-        std::make_unique<ScriptedSource>(in), 512, 4);
+    CoalescingTraceSource c(std::make_unique<ScriptedSource>(in), 512);
     auto out = drainItems(c);
-    ASSERT_EQ(out.size(), 5u);
+    ASSERT_EQ(out.size(), streams);
     // The evicted (oldest) run emerges first.
     EXPECT_EQ(out[0].addr, 0u);
     std::uint64_t words = 0;
     for (const auto &it : out)
         words += it.burst;
-    EXPECT_EQ(words, 5u);
+    EXPECT_EQ(words, streams);
 }
 
 TEST(CoalesceTest, WrapCoalescingDisablesAtWordGranularity)
