@@ -149,7 +149,9 @@ class WorkloadModel
      *  spec().inputBytes) / the matching output window. */
     virtual const WorkloadSpec &spec() const = 0;
 
-    /** @return a copy with data volumes scaled by @p factor. */
+    /** @return a copy with data volumes scaled by @p factor. The
+     *  copy keeps spec().name: scaling is a volume knob, not a new
+     *  workload, so result matrices key the same row either way. */
     virtual std::shared_ptr<const WorkloadModel>
     scaled(double factor) const = 0;
 
