@@ -83,7 +83,15 @@ EventQueue::schedule(Event *ev, Tick when, int priority)
     ev->_seq = nextSeq_++;
     ev->_scheduled = true;
     ev->_queue = this;
-    heap_.push_back(Slot{when, priority, ev->_seq, ev});
+    const Slot slot{when, priority, ev->_seq, ev};
+    if (deadRoot_) {
+        // Reuse the popped event's slot: one sift down, no tail move.
+        deadRoot_ = false;
+        place(0, slot);
+        siftDown(0);
+        return;
+    }
+    heap_.push_back(slot);
     siftUp(heap_.size() - 1);
 }
 
@@ -98,6 +106,7 @@ EventQueue::deschedule(Event *ev)
              ev->name().c_str());
     // Eager removal: unlink the heap slot now. The event may be
     // destroyed (or rescheduled on another queue) immediately.
+    settle();
     removeAt(ev->_heapIdx);
     ev->_scheduled = false;
     ev->_queue = nullptr;
@@ -120,6 +129,7 @@ EventQueue::reschedule(Event *ev, Tick when, int priority)
     panic_if(ev->_queue != this,
              "event '%s' descheduled from a queue it is not on",
              ev->name().c_str());
+    settle();
     // Re-key in place. The sequence number is refreshed exactly as the
     // historical deschedule+schedule pair did, preserving the global
     // pop order bit for bit.
@@ -136,13 +146,16 @@ EventQueue::reschedule(Event *ev, Tick when, int priority)
 bool
 EventQueue::step()
 {
+    settle();
     if (heap_.empty())
         return false;
 
     Event *ev = heap_.front().ev;
     panic_if(heap_.front().when < _curTick, "time went backwards");
     _curTick = heap_.front().when;
-    removeAt(0);
+    // The slot stays put until the next mutation: a schedule() from
+    // the handler takes it over.
+    deadRoot_ = true;
     ev->_scheduled = false;
     ev->_queue = nullptr;
     ++numProcessed_;
@@ -178,7 +191,7 @@ EventQueue::run(std::uint64_t limit)
 bool
 EventQueue::selfCheck() const
 {
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
+    for (std::size_t i = deadRoot_ ? 1 : 0; i < heap_.size(); ++i) {
         const Slot &s = heap_[i];
         if (s.ev == nullptr || s.ev->_heapIdx != i)
             return false;

@@ -13,11 +13,19 @@
  * order (sequence numbers are unique), so the pop order is identical
  * to any other faithful implementation of the same key — including
  * the lazy-deletion binary heap this replaced.
+ *
+ * step() leaves the popped event's slot at the root, marked dead, and
+ * the next schedule() overwrites it and sifts down once: a handler
+ * that reschedules its own event or schedules one follow-up costs one
+ * sift instead of two. Any other mutation first settles the dead root
+ * by refilling it from the tail. Neither path touches a key or a
+ * sequence number, so the pop order is unchanged (DESIGN.md §10).
  */
 
 #ifndef DRAMLESS_SIM_EVENT_QUEUE_HH
 #define DRAMLESS_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -185,19 +193,27 @@ class EventQueue
     void reschedule(Event *ev, Tick when, int priority = 0);
 
     /** @return true when no events remain pending. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return numPending() == 0; }
 
     /**
      * @return number of pending events. Exact: descheduled events
-     * leave the heap immediately, so this is always heap occupancy.
+     * leave the heap immediately, so this is heap occupancy less the
+     * dead root.
      */
-    std::size_t numPending() const { return heap_.size(); }
+    std::size_t numPending() const { return heap_.size() - deadRoot_; }
 
     /** @return the tick of the earliest pending event, or maxTick. */
     Tick
     nextTick() const
     {
-        return heap_.empty() ? maxTick : heap_.front().when;
+        if (!deadRoot_)
+            return heap_.empty() ? maxTick : heap_.front().when;
+        // The root's children head every live subtree.
+        Tick t = maxTick;
+        const std::size_t last = std::min(arity + 1, heap_.size());
+        for (std::size_t c = 1; c < last; ++c)
+            t = std::min(t, heap_[c].when);
+        return t;
     }
 
     /** Process a single event. @return false when the queue was empty. */
@@ -271,7 +287,21 @@ class EventQueue
     /** Unlink slot @p i, refilling it from the heap tail. */
     void removeAt(std::size_t i);
 
+    /** Unlink the dead root, if there is one. */
+    void
+    settle()
+    {
+        if (deadRoot_) {
+            deadRoot_ = false;
+            removeAt(0);
+        }
+    }
+
     std::vector<Slot> heap_;
+    /** heap_[0] holds the last popped event, which is no longer
+     *  scheduled: its key still bounds its children, but its event
+     *  pointer may dangle. */
+    bool deadRoot_ = false;
     Tick _curTick = 0;
     std::uint64_t nextSeq_ = 1;
     std::uint64_t numProcessed_ = 0;
