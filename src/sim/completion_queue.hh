@@ -8,7 +8,8 @@
 #ifndef DRAMLESS_SIM_COMPLETION_QUEUE_HH
 #define DRAMLESS_SIM_COMPLETION_QUEUE_HH
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +28,10 @@ namespace dramless
  * every item due by the current tick, including items a handler
  * pushes for the current tick while the pass runs. @p Fire is bound
  * at compile time, so firing an item is a direct call.
+ *
+ * Due items sit in one flat binary heap keyed (tick, push order), so
+ * a push allocates nothing once the heap has grown to its working
+ * size.
  *
  * Usage: CompletionQueue<Ssd, std::uint64_t, &Ssd::complete>.
  */
@@ -48,31 +53,57 @@ class CompletionQueue
     void
     push(Tick when, Item item)
     {
-        due_[when].push_back(std::move(item));
-        eventq_.reschedule(&event_, due_.begin()->first);
+        due_.push_back(Due{when, nextOrder_++, std::move(item)});
+        std::push_heap(due_.begin(), due_.end(), later);
+        eventq_.reschedule(&event_, due_.front().when);
     }
 
     /** @return true when no item is waiting. */
     bool empty() const { return due_.empty(); }
 
   private:
+    struct Due
+    {
+        Tick when;
+        std::uint64_t order;
+        Item item;
+    };
+
+    /** Heap order: the earliest (tick, push order) on top. */
+    static bool
+    later(const Due &a, const Due &b)
+    {
+        return a.when != b.when ? a.when > b.when : a.order > b.order;
+    }
+
     void
     fire()
     {
         const Tick now = eventq_.curTick();
-        while (!due_.empty() && due_.begin()->first <= now) {
-            std::vector<Item> batch = std::move(due_.begin()->second);
-            due_.erase(due_.begin());
-            for (const Item &item : batch)
+        while (!due_.empty() && due_.front().when <= now) {
+            // Take the whole batch due at the earliest tick before any
+            // handler runs: a handler's push then reschedules past the
+            // batch, not onto it.
+            const Tick at = due_.front().when;
+            batch_.clear();
+            while (!due_.empty() && due_.front().when == at) {
+                std::pop_heap(due_.begin(), due_.end(), later);
+                batch_.push_back(std::move(due_.back().item));
+                due_.pop_back();
+            }
+            for (const Item &item : batch_)
                 (owner_->*Fire)(item, now);
         }
         if (!due_.empty())
-            eventq_.reschedule(&event_, due_.begin()->first);
+            eventq_.reschedule(&event_, due_.front().when);
     }
 
     EventQueue &eventq_;
     T *owner_;
-    std::map<Tick, std::vector<Item>> due_;
+    std::vector<Due> due_;
+    std::uint64_t nextOrder_ = 0;
+    /** The batch being fired (reused across passes). */
+    std::vector<Item> batch_;
     MemberEvent<CompletionQueue, &CompletionQueue::fire> event_;
 };
 
