@@ -24,6 +24,7 @@
 #include "pram/timing.hh"
 #include "reliability/fault_model.hh"
 #include "sim/event_queue.hh"
+#include "sim/id_ring.hh"
 
 namespace dramless
 {
@@ -244,10 +245,10 @@ class PramSubsystem : public MemoryBackend
     SubsystemConfig config_;
     EventQueue &eventq_;
     std::vector<std::unique_ptr<ChannelController>> channels_;
-    /** Per-channel map from channel request id to piece info. */
-    std::vector<std::unordered_map<std::uint64_t, PieceInfo>>
-        pieceToOuter_;
-    std::unordered_map<std::uint64_t, OuterRequest> outer_;
+    /** Per channel: channel request id to piece info (internal
+     *  traffic leaves gaps). */
+    std::vector<IdRing<PieceInfo>> pieceToOuter_;
+    IdRing<OuterRequest> outer_;
     std::uint64_t nextOuterId_ = 1;
     CompletionCallback callback_;
     std::optional<StartGapMapper> wearLevel_;

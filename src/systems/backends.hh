@@ -11,13 +11,13 @@
 #define DRAMLESS_SYSTEMS_BACKENDS_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 
 #include "ctrl/request.hh"
 #include "flash/firmware.hh"
 #include "sim/completion_queue.hh"
 #include "sim/event_queue.hh"
+#include "sim/id_ring.hh"
 
 namespace dramless
 {
@@ -65,8 +65,8 @@ class FirmwareFrontedBackend : public ctrl::MemoryBackend
     CompletionQueue<FirmwareFrontedBackend, Deferred,
                     &FirmwareFrontedBackend::issue>
         deferred_;
-    /** Map from inner ids to outer ids. */
-    std::map<std::uint64_t, std::uint64_t> innerToOuter_;
+    /** Outer ids by inner id. */
+    IdRing<std::uint64_t> innerToOuter_;
 };
 
 /**
