@@ -124,15 +124,6 @@ cmake --build "$tsan_dir" -j "$jobs" --target pdes_tests \
 "$tsan_dir/tests/workload/workload_tests" \
     --gtest_filter='GraphModelSharedTest.*'
 
-# Stage 3: kernel performance gate. Re-runs the wall-clock
-# micro_kernel quick sweep serially (no sanitizers, default
-# RelWithDebInfo build from stage 1) and fails on a >20% events/sec
-# regression (or sweep heap-event blow-up, or a PDES shard-scaling
-# efficiency collapse on >=4-core hosts) against the committed
-# BENCH_9.json baseline. Widen the tolerance on noisy shared
-# machines via DRAMLESS_PERF_TOLERANCE.
-ctest --test-dir "$build_dir" --output-on-failure -L perf
-
 # Stage 4: workload coverage gate. The workload generators are the
 # ground truth every system measurement rests on, so their test suite
 # must keep src/workload line coverage at or above the floor. Builds
@@ -190,5 +181,16 @@ if [ "$(awk -v p="$cov_pct" -v f="$cov_floor" \
          "below the ${cov_floor}% floor" >&2
     exit 1
 fi
+
+# Stage 3: kernel performance gate. Re-runs the wall-clock
+# micro_kernel quick sweep serially (no sanitizers, default
+# RelWithDebInfo build from stage 1) and fails on a >20% events/sec
+# regression (or sweep heap-event blow-up, or a PDES shard-scaling
+# efficiency collapse on >=4-core hosts) against the committed
+# BENCH_9.json baseline. Widen the tolerance on noisy shared
+# machines via DRAMLESS_PERF_TOLERANCE. It runs after the coverage
+# gate: it can fail on host speed alone (ROADMAP item 1), and under
+# set -eu a failure here would skip every later stage.
+ctest --test-dir "$build_dir" --output-on-failure -L perf
 
 echo "check.sh: all tests passed (DRAMLESS_JOBS=$DRAMLESS_JOBS)"
