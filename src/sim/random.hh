@@ -46,11 +46,18 @@ class Random
         return lo + below(hi - lo + 1);
     }
 
+    /** @return the 53 random bits uniform() scales into [0, 1). */
+    std::uint64_t
+    bits53()
+    {
+        return next() >> 11;
+    }
+
     /** @return a uniform double in [0, 1). */
     double
     uniform()
     {
-        return double(next() >> 11) * (1.0 / 9007199254740992.0);
+        return double(bits53()) * (1.0 / 9007199254740992.0);
     }
 
     /** @return true with probability @p p. */

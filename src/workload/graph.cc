@@ -1,6 +1,7 @@
 #include "workload/graph.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <mutex>
 #include <queue>
@@ -21,6 +22,17 @@ constexpr std::uint32_t kUnreached =
     std::numeric_limits<std::uint32_t>::max();
 /** Bytes per modeled CSR entry / vertex slot (64-bit ids+values). */
 constexpr std::uint64_t kSlot = 8;
+
+/** @return the least 53-bit draw x with x * 2^-53 >= @p t. A draw
+ *  compared with it decides exactly what Random::uniform() compared
+ *  with @p t decides: the scaling is exact, and x is an integer. */
+std::uint64_t
+drawThreshold(double t)
+{
+    if (!(t > 0.0))
+        return 0;
+    return std::uint64_t(std::min(std::ceil(std::ldexp(t, 53)), 0x1p53));
+}
 
 std::uint64_t
 roundUp(std::uint64_t v, std::uint64_t unit)
@@ -48,20 +60,22 @@ GraphModel::GraphModel(const GraphConfig &cfg) : config_(cfg)
         while ((std::uint64_t(1) << bits) < v)
             ++bits;
         const double ab = cfg.a + cfg.b;
-        const double abc = ab + cfg.c;
+        const std::uint64_t tA = drawThreshold(cfg.a);
+        const std::uint64_t tAb = drawThreshold(ab);
+        const std::uint64_t tAbc = drawThreshold(ab + cfg.c);
         for (std::uint64_t i = 0; i < e; ++i) {
             std::uint64_t s, d;
             do {
                 s = 0;
                 d = 0;
                 for (std::uint32_t bit = 0; bit < bits; ++bit) {
-                    const double r = rng.uniform();
+                    const std::uint64_t r = rng.bits53();
                     // Quadrants: a=(0,0) b=(0,1) c=(1,0) d=(1,1).
                     // Each comparison is a coin flip, so combine
                     // them with bitwise ops instead of branching.
-                    const std::uint64_t sb = r >= ab;
+                    const std::uint64_t sb = r >= tAb;
                     const std::uint64_t db =
-                        ((r >= cfg.a) & (r < ab)) | (r >= abc);
+                        ((r >= tA) & (r < tAb)) | (r >= tAbc);
                     s = (s << 1) | sb;
                     d = (d << 1) | db;
                 }
