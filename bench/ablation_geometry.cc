@@ -22,17 +22,15 @@ const char *kernels[] = {"gemver", "trmm", "doitg"};
 /** A DRAM-less job with an ablated geometry. */
 runner::SweepJob
 geometryJob(const std::string &label, const pram::PramGeometry &geom,
-            const char *wl, const systems::SystemOptions &base)
+            std::shared_ptr<const workload::WorkloadModel> model,
+            const systems::SystemOptions &base)
 {
     systems::SystemOptions opts = base;
     opts.geometryOverride = geom;
-    const auto &spec = workload::Polybench::byName(wl);
-    return runner::SweepJob{
-        label, wl, [opts, spec]() {
-            auto sys = systems::SystemFactory::create(
-                systems::SystemKind::dramLess, opts);
-            return sys->run(spec);
-        }};
+    runner::SweepJob job =
+        runner::makeJob(systems::SystemKind::dramLess, model, opts);
+    job.system = label;
+    return job;
 }
 
 /** Print one sweep section from the flat result list. */
@@ -66,7 +64,10 @@ printSection(const char *title, const char *knob,
 int
 main()
 {
+    const double scale = bench::scaleFromEnv();
     auto opts = bench::defaultOptions();
+    const bench::Models models = bench::polybenchModels(
+        scale, {std::begin(kernels), std::end(kernels)});
 
     std::vector<runner::SweepJob> jobs;
     std::vector<std::string> rb_rows, part_rows, slot_rows;
@@ -75,36 +76,36 @@ main()
         pram::PramGeometry g;
         g.numRowBuffers = n;
         rb_rows.push_back(std::to_string(n));
-        for (const char *wl : kernels)
+        for (const auto &model : models)
             jobs.push_back(geometryJob(
-                "rowBuffers=" + std::to_string(n), g, wl, opts));
+                "rowBuffers=" + std::to_string(n), g, model, opts));
     }
     for (std::uint32_t n : {4u, 8u, 16u, 32u}) {
         pram::PramGeometry g;
         g.partitionsPerBank = n;
         part_rows.push_back(std::to_string(n));
-        for (const char *wl : kernels)
+        for (const auto &model : models)
             jobs.push_back(geometryJob(
-                "partitions=" + std::to_string(n), g, wl, opts));
+                "partitions=" + std::to_string(n), g, model, opts));
     }
     for (std::uint32_t n : {1u, 2u, 4u, 8u}) {
         pram::PramGeometry g;
         g.programSlots = n;
         slot_rows.push_back(std::to_string(n));
-        for (const char *wl : kernels)
+        for (const auto &model : models)
             jobs.push_back(geometryJob(
-                "programSlots=" + std::to_string(n), g, wl, opts));
+                "programSlots=" + std::to_string(n), g, model, opts));
     }
 
     std::vector<systems::RunResult> results = bench::runJobs(jobs);
     auto sink = bench::makeSink("ablation_geometry",
                                 "PRAM microarchitecture ablations",
-                                opts);
+                                scale);
 
     std::size_t idx = 0;
     std::printf("Ablations on DRAM-less bandwidth in MB/s "
                 "(scale %.2f)\n\n",
-                opts.workloadScale);
+                scale);
     printSection("Ablation: row buffers (RAB/RDB pairs)",
                  "rowBuffers", rb_rows, jobs, results, sink, idx);
     printSection("Ablation: partitions per bank", "partitions",

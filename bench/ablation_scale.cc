@@ -28,13 +28,13 @@ main()
     const double scales[] = {0.1, 0.25, 0.5};
 
     std::vector<runner::SweepJob> jobs;
+    const systems::SystemOptions opts;
     for (double scale : scales) {
-        systems::SystemOptions opts;
-        opts.workloadScale = scale;
+        const bench::Models models = bench::polybenchModels(
+            scale, {std::begin(kernels), std::end(kernels)});
         for (auto kind : kinds) {
-            for (const char *wl : kernels) {
-                auto job = runner::makeJob(
-                    kind, workload::Polybench::byName(wl), opts);
+            for (const auto &model : models) {
+                auto job = runner::makeJob(kind, model, opts);
                 // Distinguish scales in the progress line.
                 job.system = std::string(
                                  systems::SystemFactory::label(kind)) +
@@ -45,10 +45,9 @@ main()
     }
     std::vector<systems::RunResult> results = bench::runJobs(jobs);
 
-    systems::SystemOptions defaults;
     auto sink = bench::makeSink(
         "ablation_scale",
-        "Scale sensitivity of the headline ratios", defaults);
+        "Scale sensitivity of the headline ratios", 1.0);
 
     std::printf("Scale sensitivity of the headline ratios "
                 "(geomean over gemver/doitg/trmm/durbin)\n\n");

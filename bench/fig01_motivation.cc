@@ -16,10 +16,11 @@ using namespace dramless;
 int
 main()
 {
+    const double scale = bench::scaleFromEnv();
     auto opts = bench::defaultOptions();
     std::printf("Figure 1: conventional accelerated system vs "
                 "ideal (scale %.2f)\n\n",
-                opts.workloadScale);
+                scale);
     std::printf("%-8s %18s %18s\n", "kernel", "norm. performance",
                 "norm. energy");
     std::printf("%.*s\n", 46,
@@ -27,10 +28,10 @@ main()
 
     bench::ResultMatrix m = bench::runMatrix(
         {systems::SystemKind::ideal, systems::SystemKind::hetero},
-        opts);
+        opts, scale);
     auto sink = bench::makeSink(
         "fig01_motivation",
-        "Figure 1: conventional accelerated system vs ideal", opts);
+        "Figure 1: conventional accelerated system vs ideal", scale);
     sink.add(m);
 
     std::vector<double> perf, energy;

@@ -16,10 +16,11 @@ using namespace dramless;
 int
 main()
 {
+    const double scale = bench::scaleFromEnv();
     auto opts = bench::defaultOptions();
     std::printf("Figure 7: firmware-managed PRAM vs oracle "
                 "controller (scale %.2f)\n\n",
-                opts.workloadScale);
+                scale);
     std::printf("%-8s %14s %14s %14s\n", "kernel", "oracle MB/s",
                 "firmware MB/s", "degradation");
     std::printf("%.*s\n", 54,
@@ -31,11 +32,11 @@ main()
     bench::ResultMatrix m =
         bench::runMatrix({systems::SystemKind::dramLess,
                           systems::SystemKind::dramLessFirmware},
-                         opts);
+                         opts, scale);
     auto sink = bench::makeSink(
         "fig07_firmware",
         "Figure 7: firmware-managed PRAM vs oracle controller",
-        opts);
+        scale);
     sink.add(m);
 
     std::vector<double> degr;

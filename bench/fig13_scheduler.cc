@@ -17,10 +17,11 @@ using namespace dramless;
 int
 main()
 {
+    const double scale = bench::scaleFromEnv();
     auto opts = bench::defaultOptions();
     std::printf("Figure 13: scheduler configurations on DRAM-less "
                 "(scale %.2f)\n\n",
-                opts.workloadScale);
+                scale);
     std::printf("%-8s %7s %10s %12s %12s %10s | %7s %7s %7s\n",
                 "kernel", "wr%", "Bare MB/s", "Interleave",
                 "sel-erase", "Final", "I/B", "S/B", "F/B");
@@ -43,14 +44,14 @@ main()
 
     // One independent job per (workload, scheduler variant) pair.
     std::vector<runner::SweepJob> jobs;
-    for (const auto &spec : workload::Polybench::all()) {
+    for (const auto &model : bench::polybenchModels(scale)) {
         for (const Variant &v : variants) {
             jobs.push_back(runner::SweepJob{
-                v.label, spec.name, [v, spec, opts]() {
+                v.label, model->spec().name, [v, model, opts]() {
                     auto sys =
                         systems::SystemFactory::createDramLessVariant(
                             v.kind, opts);
-                    return sys->run(spec);
+                    return sys->run(*model);
                 }});
         }
     }
@@ -58,7 +59,7 @@ main()
 
     auto sink = bench::makeSink(
         "fig13_scheduler",
-        "Figure 13: scheduler configurations on DRAM-less", opts);
+        "Figure 13: scheduler configurations on DRAM-less", scale);
     // Key exported runs by the variant label, not the (identical)
     // underlying system name.
     for (std::size_t i = 0; i < results.size(); ++i) {

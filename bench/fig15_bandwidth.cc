@@ -16,14 +16,15 @@ using namespace dramless;
 int
 main()
 {
+    const double scale = bench::scaleFromEnv();
     auto opts = bench::defaultOptions();
     std::printf("Figure 15: throughput normalized to Hetero "
                 "(scale %.2f)\n\n",
-                opts.workloadScale);
+                scale);
 
     auto kinds = systems::SystemFactory::evaluationOrder();
     kinds.push_back(systems::SystemKind::dramLessFirmware);
-    bench::ResultMatrix m = bench::runMatrix(kinds, opts);
+    bench::ResultMatrix m = bench::runMatrix(kinds, opts, scale);
 
     const auto &hetero = m.at("Hetero");
     bench::printHeader("system \\ workload", bench::workloadColumns(),
@@ -51,7 +52,7 @@ main()
 
     auto sink = bench::makeSink(
         "fig15_bandwidth",
-        "Figure 15: throughput normalized to Hetero", opts);
+        "Figure 15: throughput normalized to Hetero", scale);
     sink.add(m);
 
     // Headline ratios.

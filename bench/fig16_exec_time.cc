@@ -34,17 +34,18 @@ fractionsOf(const systems::RunResult &r)
 int
 main()
 {
+    const double scale = bench::scaleFromEnv();
     auto opts = bench::defaultOptions();
     std::printf("Figure 16: execution time decomposition "
                 "(scale %.2f)\n\n",
-                opts.workloadScale);
+                scale);
 
     auto kinds = systems::SystemFactory::evaluationOrder();
-    bench::ResultMatrix m = bench::runMatrix(kinds, opts);
+    bench::ResultMatrix m = bench::runMatrix(kinds, opts, scale);
 
     auto sink = bench::makeSink(
         "fig16_exec_time",
-        "Figure 16: execution time decomposition", opts);
+        "Figure 16: execution time decomposition", scale);
     sink.add(m);
 
     std::printf("averaged over the suite (%% of execution time):\n");

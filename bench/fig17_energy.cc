@@ -15,15 +15,16 @@ using namespace dramless;
 int
 main()
 {
+    const double scale = bench::scaleFromEnv();
     auto opts = bench::defaultOptions();
     std::printf("Figure 17: energy decomposition (scale %.2f)\n\n",
-                opts.workloadScale);
+                scale);
 
     auto kinds = systems::SystemFactory::evaluationOrder();
-    bench::ResultMatrix m = bench::runMatrix(kinds, opts);
+    bench::ResultMatrix m = bench::runMatrix(kinds, opts, scale);
 
     auto sink = bench::makeSink(
-        "fig17_energy", "Figure 17: energy decomposition", opts);
+        "fig17_energy", "Figure 17: energy decomposition", scale);
     sink.add(m);
 
     std::printf("suite totals in mJ:\n");

@@ -12,10 +12,10 @@
  * restaging penalty on the hetero pipeline are where the DRAM-less
  * path should pay off.
  *
+ * The networks are lenet, mlp and ffn, each at batch sizes 1 and 4.
+ *
  * Environment knobs:
  *   DRAMLESS_DNN_QUICK    batch {1} only (CI smoke)
- *   DRAMLESS_DNN_NETS     comma list of networks (default lenet,mlp,ffn)
- *   DRAMLESS_DNN_BATCHES  comma list of batch sizes (default 1,4)
  *   DRAMLESS_SCALE        workload volume scale (default 0.25)
  *   DRAMLESS_JOBS         worker threads (default: hardware threads)
  *   DRAMLESS_OUT_JSON     write the full result set as JSON ("-"=stdout)
@@ -24,54 +24,27 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 #include "harness.hh"
 
 using namespace dramless;
 
-namespace
-{
-
-std::vector<std::string>
-splitList(const char *env, std::vector<std::string> fallback)
-{
-    if (env == nullptr)
-        return fallback;
-    std::vector<std::string> out;
-    std::stringstream ss(env);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        if (!item.empty())
-            out.push_back(item);
-    }
-    return out.empty() ? fallback : out;
-}
-
-} // anonymous namespace
-
 int
 main()
 {
+    const double scale = bench::scaleFromEnv();
     auto opts = bench::defaultOptions();
     const bool quick = std::getenv("DRAMLESS_DNN_QUICK") != nullptr;
-    std::vector<std::string> nets = splitList(
-        std::getenv("DRAMLESS_DNN_NETS"), {"lenet", "mlp", "ffn"});
-    std::vector<std::string> batches = splitList(
-        std::getenv("DRAMLESS_DNN_BATCHES"),
-        quick ? std::vector<std::string>{"1"}
-              : std::vector<std::string>{"1", "4"});
+    const std::vector<std::uint32_t> batches =
+        quick ? std::vector<std::uint32_t>{1}
+              : std::vector<std::uint32_t>{1, 4};
 
     // ---------------------- workload models ------------------------
     std::vector<std::shared_ptr<const workload::WorkloadModel>>
         models;
     std::vector<std::string> dnnNames;
-    for (const std::string &net : nets) {
-        for (const std::string &b : batches) {
-            std::uint32_t batch =
-                std::uint32_t(std::strtoul(b.c_str(), nullptr, 10));
-            fatal_if(batch == 0, "bad DRAMLESS_DNN_BATCHES entry "
-                     "'%s'", b.c_str());
+    for (const char *net : {"lenet", "mlp", "ffn"}) {
+        for (std::uint32_t batch : batches) {
             models.push_back(workload::dnnModelFor(net, batch));
             dnnNames.push_back(models.back()->spec().name);
         }
@@ -90,13 +63,14 @@ main()
     models.push_back(workload::modelFor(stream));
 
     auto kinds = systems::SystemFactory::evaluationOrder();
-    auto jobs = runner::makeMatrixJobs(kinds, models, opts);
+    auto jobs = runner::makeMatrixJobs(
+        kinds, bench::scaled(models, scale), opts);
     runner::SweepRunner pool(runner::jobsFromEnv());
     std::printf("dnn sweep: %zu runs (%zu systems x %zu workloads),"
                 " %u worker%s, scale %.2f\n\n",
                 jobs.size(), kinds.size(), models.size(),
                 pool.numWorkers(), pool.numWorkers() == 1 ? "" : "s",
-                opts.workloadScale);
+                scale);
 
     std::vector<systems::RunResult> results =
         pool.run(jobs, runner::stderrProgress());
@@ -104,7 +78,7 @@ main()
     auto sink = bench::makeSink(
         "fig_dnn_sweep",
         "DNN inference (lenet/mlp/ffn) across all organizations",
-        opts);
+        scale);
     for (const auto &r : results)
         sink.add(r);
     runner::ResultMatrix m = sink.matrix();

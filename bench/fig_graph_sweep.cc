@@ -49,6 +49,7 @@ gridFromEnv()
 int
 main()
 {
+    const double scale = bench::scaleFromEnv();
     auto opts = bench::defaultOptions();
     Grid grid = gridFromEnv();
     const std::vector<workload::GraphKernel> kernels = {
@@ -90,13 +91,14 @@ main()
     models.push_back(workload::modelFor(stream));
 
     auto kinds = systems::SystemFactory::evaluationOrder();
-    auto jobs = runner::makeMatrixJobs(kinds, models, opts);
+    auto jobs = runner::makeMatrixJobs(
+        kinds, bench::scaled(models, scale), opts);
     runner::SweepRunner pool(runner::jobsFromEnv());
     std::printf("graph sweep: %zu runs (%zu systems x %zu workloads),"
                 " %u worker%s, scale %.2f\n\n",
                 jobs.size(), kinds.size(), models.size(),
                 pool.numWorkers(), pool.numWorkers() == 1 ? "" : "s",
-                opts.workloadScale);
+                scale);
 
     std::vector<systems::RunResult> results =
         pool.run(jobs, runner::stderrProgress());
@@ -104,7 +106,7 @@ main()
     auto sink = bench::makeSink(
         "fig_graph_sweep",
         "Graph kernels (BFS/PageRank/SpMV) across all organizations",
-        opts);
+        scale);
     for (const auto &r : results)
         sink.add(r);
     runner::ResultMatrix m = sink.matrix();

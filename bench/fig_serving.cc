@@ -29,23 +29,20 @@
  * on the sharded PDES kernel), honoring DRAMLESS_SHARDS for the
  * worker count — results are bit-identical for every shard count.
  *
+ * The fleet is 4 nodes per organization behind a join-shortest-queue
+ * dispatcher with 16-deep queues, fed 5,000 requests per load point
+ * (2,000 in quick mode) from arrival seed 7.
+ *
  * Environment knobs:
- *   DRAMLESS_SERVING_QUICK  2 orgs x 2 workloads x 3 loads (CI)
- *   DRAMLESS_SERVING_ORGS   comma-separated Table I labels
- *   DRAMLESS_SERVING_POLICY jsq (default) or rr
- *   DRAMLESS_SERVING_NODES  fleet size (default 4)
- *   DRAMLESS_SERVING_REQUESTS requests per load point
- *   DRAMLESS_SERVING_SEED   arrival-schedule seed (default 7)
+ *   DRAMLESS_SERVING_QUICK  2 orgs x 3 workloads x 3 loads (CI)
  *   DRAMLESS_SCALE          workload volume scale (default 0.25)
  *   DRAMLESS_JOBS           probe worker threads
  *   DRAMLESS_SHARDS         co-sim PDES workers (1 = serial)
  *   DRAMLESS_OUT_JSON/CSV   structured export ("-" = stdout)
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,77 +68,24 @@ struct Setup
     serve::FleetConfig fleet;
 };
 
-std::uint64_t
-u64FromEnv(const char *name, std::uint64_t fallback)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr)
-        return fallback;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || v == 0) {
-        warn("ignoring %s='%s' (not a positive integer)", name, env);
-        return fallback;
-    }
-    return v;
-}
-
-std::vector<systems::SystemKind>
-orgsFromEnv(bool quick)
-{
-    std::vector<systems::SystemKind> orgs;
-    if (const char *env = std::getenv("DRAMLESS_SERVING_ORGS")) {
-        std::string s(env);
-        std::size_t pos = 0;
-        while (pos <= s.size()) {
-            std::size_t comma = s.find(',', pos);
-            std::string label =
-                s.substr(pos, comma == std::string::npos
-                                  ? std::string::npos
-                                  : comma - pos);
-            auto kind = systems::SystemFactory::fromLabel(label);
-            fatal_if(!kind.has_value(),
-                     "DRAMLESS_SERVING_ORGS names unknown "
-                     "organization '%s'",
-                     label.c_str());
-            orgs.push_back(*kind);
-            if (comma == std::string::npos)
-                break;
-            pos = comma + 1;
-        }
-        fatal_if(orgs.empty(), "DRAMLESS_SERVING_ORGS is empty");
-        return orgs;
-    }
-    if (quick) {
-        return {systems::SystemKind::hetero,
-                systems::SystemKind::dramLess};
-    }
-    return {systems::SystemKind::hetero,
-            systems::SystemKind::heterodirect,
-            systems::SystemKind::integratedSlc,
-            systems::SystemKind::dramLess};
-}
-
 Setup
 setupFromEnv()
 {
     Setup s;
     s.quick = std::getenv("DRAMLESS_SERVING_QUICK") != nullptr;
-    s.orgs = orgsFromEnv(s.quick);
-    s.seed = u64FromEnv("DRAMLESS_SERVING_SEED", 7);
-    s.requests =
-        u64FromEnv("DRAMLESS_SERVING_REQUESTS", s.quick ? 2000 : 5000);
-    s.fleet.numNodes =
-        std::uint32_t(u64FromEnv("DRAMLESS_SERVING_NODES", 4));
+    if (s.quick) {
+        s.orgs = {systems::SystemKind::hetero,
+                  systems::SystemKind::dramLess};
+    } else {
+        s.orgs = {systems::SystemKind::hetero,
+                  systems::SystemKind::heterodirect,
+                  systems::SystemKind::integratedSlc,
+                  systems::SystemKind::dramLess};
+    }
+    s.requests = s.quick ? 2000 : 5000;
+    s.fleet.numNodes = 4;
     s.fleet.queueCapacity = 16;
     s.fleet.policy = serve::DispatchPolicy::joinShortestQueue;
-    if (const char *p = std::getenv("DRAMLESS_SERVING_POLICY")) {
-        if (std::strcmp(p, "rr") == 0)
-            s.fleet.policy = serve::DispatchPolicy::roundRobin;
-        else
-            fatal_if(std::strcmp(p, "jsq") != 0,
-                     "DRAMLESS_SERVING_POLICY must be jsq or rr");
-    }
 
     // The request mix: mostly short graph queries and DNN inferences
     // with a tail of long Polybench kernel launches (the mixed
@@ -180,21 +124,22 @@ setupFromEnv()
 int
 main()
 {
+    const double scale = bench::scaleFromEnv();
     auto opts = bench::defaultOptions();
     Setup s = setupFromEnv();
 
     // ------------------- probe: calibrate service times ------------
-    auto jobs = runner::makeMatrixJobs(s.orgs, s.models, opts);
+    auto jobs = runner::makeMatrixJobs(
+        s.orgs, bench::scaled(s.models, scale), opts);
     runner::SweepRunner pool(runner::jobsFromEnv());
     std::printf("serving sweep: %zu orgs x %zu workloads probe, "
-                "%zu loads x %llu requests, %u node%s/org, policy "
+                "%zu loads x %llu requests, %u nodes/org, policy "
                 "%s, %u worker%s, scale %.2f\n\n",
                 s.orgs.size(), s.models.size(), s.loads.size(),
                 (unsigned long long)s.requests, s.fleet.numNodes,
-                s.fleet.numNodes == 1 ? "" : "s",
                 serve::dispatchPolicyName(s.fleet.policy),
                 pool.numWorkers(), pool.numWorkers() == 1 ? "" : "s",
-                opts.workloadScale);
+                scale);
     std::vector<systems::RunResult> probe =
         pool.run(jobs, runner::stderrProgress());
 
@@ -204,7 +149,7 @@ main()
         "latency per organization, with the saturation knee");
     {
         char buf[32];
-        std::snprintf(buf, sizeof(buf), "%g", opts.workloadScale);
+        std::snprintf(buf, sizeof(buf), "%g", scale);
         sink.label("workload_scale", buf);
         sink.label("policy",
                    serve::dispatchPolicyName(s.fleet.policy));
@@ -360,7 +305,6 @@ main()
         unsigned shards = runner::shardsFromEnv();
         serve::CoSimConfig ccfg;
         ccfg.fleet = s.fleet;
-        ccfg.fleet.numNodes = std::min(s.fleet.numNodes, 4u);
         ccfg.node = opts;
         ccfg.node.shards = shards;
         std::vector<std::shared_ptr<const workload::WorkloadModel>>
@@ -382,11 +326,10 @@ main()
                  "co-sim fleet completed no requests");
 
         const pdes::KernelStats &ks = cofleet.kernelStats();
-        std::printf("\nco-sim spot check (%u node%s, %u shard%s): "
+        std::printf("\nco-sim spot check (%u nodes, %u shard%s): "
                     "%llu/%llu completed, p99 e2e %.1fus, "
                     "%llu windows / %llu messages\n",
-                    ccfg.fleet.numNodes,
-                    ccfg.fleet.numNodes == 1 ? "" : "s", shards,
+                    ccfg.fleet.numNodes, shards,
                     shards == 1 ? "" : "s",
                     (unsigned long long)res.completed,
                     (unsigned long long)res.offered, res.p99E2eUs,

@@ -22,15 +22,15 @@ namespace dramless
 namespace bench
 {
 
-/** Workload-volume scale; override with DRAMLESS_SCALE=0.5 etc. */
+/**
+ * Workload-volume scale: DRAMLESS_SCALE (one positive number),
+ * @p fallback when unset or malformed. Read it before
+ * defaultOptions(), which quiets the warning a malformed value gets.
+ */
 inline double
 scaleFromEnv(double fallback = 0.25)
 {
-    const char *env = std::getenv("DRAMLESS_SCALE");
-    if (env == nullptr)
-        return fallback;
-    double v = std::atof(env);
-    return v > 0.0 ? v : fallback;
+    return runner::scaleFromEnv(fallback);
 }
 
 /** Default options for the reproduction runs. */
@@ -38,20 +38,38 @@ inline systems::SystemOptions
 defaultOptions()
 {
     setQuiet(true);
-    systems::SystemOptions opts;
-    opts.workloadScale = scaleFromEnv();
-    return opts;
+    return systems::SystemOptions{};
 }
 
-/** Run one (system, workload) pair on a fresh instance. */
-inline systems::RunResult
-runOne(systems::SystemKind kind, const workload::WorkloadSpec &spec,
-       const systems::SystemOptions &opts)
+/** Shared, immutable workload models. */
+using Models = std::vector<std::shared_ptr<const workload::WorkloadModel>>;
+
+/** @return @p models, each scaled to @p scale once (at scale 1, the
+ *  models as built). */
+inline Models
+scaled(Models models, double scale)
 {
-    runner::JobTraceScope traceScope(
-        systems::SystemFactory::label(kind), spec.name);
-    auto sys = systems::SystemFactory::create(kind, opts);
-    return sys->run(spec);
+    if (scale != 1.0) {
+        for (auto &m : models)
+            m = m->scaled(scale);
+    }
+    return models;
+}
+
+/** The Polybench kernels @p names, in that order (all fifteen when
+ *  empty), at @p scale. */
+inline Models
+polybenchModels(double scale, std::vector<std::string> names = {})
+{
+    if (names.empty()) {
+        for (const auto &spec : workload::Polybench::all())
+            names.push_back(spec.name);
+    }
+    Models models;
+    for (const auto &name : names)
+        models.push_back(
+            workload::modelFor(workload::Polybench::byName(name)));
+    return scaled(std::move(models), scale);
 }
 
 /** Results keyed by (system label, workload name). */
@@ -70,14 +88,15 @@ runJobs(const std::vector<runner::SweepJob> &jobs,
                     progress ? runner::stderrProgress() : nullptr);
 }
 
-/** Run @p kinds x the full Polybench suite (in parallel). */
+/** Run @p kinds x the full Polybench suite at @p scale (in
+ *  parallel). */
 inline ResultMatrix
 runMatrix(const std::vector<systems::SystemKind> &kinds,
-          const systems::SystemOptions &opts,
+          const systems::SystemOptions &opts, double scale,
           bool progress = true)
 {
-    auto jobs = runner::makeMatrixJobs(
-        kinds, workload::Polybench::all(), opts);
+    auto jobs =
+        runner::makeMatrixJobs(kinds, polybenchModels(scale), opts);
     ResultMatrix out;
     std::vector<systems::RunResult> results =
         runJobs(jobs, progress);
@@ -92,11 +111,11 @@ runMatrix(const std::vector<systems::SystemKind> &kinds,
  */
 inline runner::ResultSink
 makeSink(const std::string &name, const std::string &description,
-         const systems::SystemOptions &opts)
+         double scale)
 {
     runner::ResultSink sink(name, description);
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", opts.workloadScale);
+    std::snprintf(buf, sizeof(buf), "%g", scale);
     sink.label("workload_scale", buf);
     return sink;
 }

@@ -22,25 +22,26 @@ using namespace dramless;
 int
 main()
 {
+    const double scale = bench::scaleFromEnv();
     auto opts = bench::defaultOptions();
     auto kinds = systems::SystemFactory::evaluationOrder();
     kinds.push_back(systems::SystemKind::dramLessFirmware);
 
     auto jobs = runner::makeMatrixJobs(
-        kinds, workload::Polybench::all(), opts);
+        kinds, bench::polybenchModels(scale), opts);
     runner::SweepRunner pool(runner::jobsFromEnv());
     std::printf("sweep: %zu runs (%zu systems x %zu workloads), "
                 "%u worker%s, scale %.2f\n\n",
                 jobs.size(), kinds.size(),
                 workload::Polybench::all().size(), pool.numWorkers(),
                 pool.numWorkers() == 1 ? "" : "s",
-                opts.workloadScale);
+                scale);
 
     std::vector<systems::RunResult> results =
         pool.run(jobs, runner::stderrProgress());
 
     auto sink = bench::makeSink(
-        "sweep", "Full evaluation matrix (Figures 15-17)", opts);
+        "sweep", "Full evaluation matrix (Figures 15-17)", scale);
     for (const auto &r : results)
         sink.add(r);
     runner::ResultMatrix m = sink.matrix();

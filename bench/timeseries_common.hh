@@ -29,15 +29,15 @@ timeSeriesKinds()
             systems::SystemKind::dramLess};
 }
 
-/** Run @p kinds on one workload concurrently, keyed by label. */
+/** Run @p kinds on Polybench kernel @p spec at @p scale
+ *  concurrently, keyed by label. */
 inline std::map<std::string, systems::RunResult>
 runKindsOnWorkload(const std::vector<systems::SystemKind> &kinds,
-                   const workload::WorkloadSpec &spec,
+                   const workload::WorkloadSpec &spec, double scale,
                    const systems::SystemOptions &opts)
 {
-    std::vector<runner::SweepJob> jobs;
-    for (auto kind : kinds)
-        jobs.push_back(runner::makeJob(kind, spec, opts));
+    auto models = scaled({workload::modelFor(spec)}, scale);
+    auto jobs = runner::makeMatrixJobs(kinds, models, opts);
     std::vector<systems::RunResult> results = runJobs(jobs);
     std::map<std::string, systems::RunResult> out;
     for (std::size_t i = 0; i < jobs.size(); ++i)
@@ -49,18 +49,20 @@ runKindsOnWorkload(const std::vector<systems::SystemKind> &kinds,
 inline int
 ipcFigure(const char *id, const char *figure, const char *name)
 {
+    const double scale = scaleFromEnv();
     auto opts = defaultOptions();
     opts.sampleInterval = fromUs(10);
     std::printf("%s: total IPC (all agents) over time, %s "
                 "(scale %.2f)\n\n",
-                figure, name, opts.workloadScale);
+                figure, name, scale);
     const auto &spec = workload::Polybench::byName(name);
 
-    auto results = runKindsOnWorkload(timeSeriesKinds(), spec, opts);
+    auto results =
+        runKindsOnWorkload(timeSeriesKinds(), spec, scale, opts);
 
     auto sink = makeSink(
         id, std::string(figure) + ": total IPC over time, " + name,
-        opts);
+        scale);
     // The series are the figure: export them at full resolution.
     sink.setSeriesPoints(0);
     for (const auto &[_, r] : results)
@@ -115,7 +117,6 @@ powerFigure(const char *id, const char *figure, const char *name)
     // volumes land near 16 KiB of traffic, sampled finely.
     const auto &base = workload::Polybench::byName(name);
     double scale = 16384.0 / double(base.totalBytes());
-    opts.workloadScale = scale;
     opts.sampleInterval = fromUs(2);
 
     std::printf("%s: core power and total energy, first 16 KiB of "
@@ -128,13 +129,13 @@ powerFigure(const char *id, const char *figure, const char *name)
         systems::SystemKind::dramLess,
     };
 
-    auto results = runKindsOnWorkload(kinds, base, opts);
+    auto results = runKindsOnWorkload(kinds, base, scale, opts);
 
     auto sink = makeSink(
         id, std::string(figure) +
                 ": core power and total energy, first 16 KiB of " +
                 name,
-        opts);
+        scale);
     sink.setSeriesPoints(0);
     for (const auto &[_, r] : results)
         sink.add(r);

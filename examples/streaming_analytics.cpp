@@ -133,11 +133,12 @@ main()
     spec.outputBytes = (total_records / 64) * 32;
     spec.opsPerByte = 88.0 / 128.0;
 
+    const auto model = workload::modelFor(spec);
     systems::SystemOptions opts;
     for (auto kind : {systems::SystemKind::hetero,
                       systems::SystemKind::heterodirect}) {
         auto sys = systems::SystemFactory::create(kind, opts);
-        systems::RunResult h = sys->run(spec);
+        systems::RunResult h = sys->run(*model);
         std::printf("  %-16s: %8.3f ms  %8.3f mJ"
                     "   (%.2fx slower, %.1fx more energy)\n",
                     h.system.c_str(), toMs(h.execTime),

@@ -23,8 +23,6 @@ systems::SystemOptions
 nodeOptions(const DramLessConfig &c)
 {
     systems::SystemOptions opts;
-    opts.numPes = c.numPes;
-    opts.sampleInterval = c.sampleInterval;
     opts.wearLeveling = c.wearLeveling;
     opts.functional = c.functional;
     opts.coalesceBytes = 32;
@@ -87,6 +85,7 @@ void
 DramLessAccelerator::writeData(std::uint64_t addr, const void *src,
                                std::uint64_t size)
 {
+    fatal_if(size == 0, "writeData of zero bytes");
     fatal_if(addr % 32 != 0 || size % 32 != 0,
              "writeData must be 32-byte aligned");
     fatal_if(addr + size > capacity(), "writeData beyond capacity");
@@ -123,6 +122,7 @@ void
 DramLessAccelerator::readData(std::uint64_t addr, void *dst,
                               std::uint64_t size)
 {
+    fatal_if(size == 0, "readData of zero bytes");
     fatal_if(addr % 32 != 0 || size % 32 != 0,
              "readData must be 32-byte aligned");
     fatal_if(addr + size > pram_->capacity(),
@@ -197,8 +197,9 @@ DramLessAccelerator::offload(
     std::uint64_t pcie_bytes_before =
         pcie_->pcieStats().bytes;
     // PRAM op-energy snapshot (zero window: no static terms).
+    const energy::EnergyParams p = energy::EnergyParams::paperDefault();
     energy::EnergyBreakdown pram_before =
-        systems::pramEnergy(*pram_, 0, config_.energy);
+        systems::pramEnergy(*pram_, 0, p);
 
     // packData produced the image; pushData arms the DMA and ships
     // it over PCIe.
@@ -237,7 +238,6 @@ DramLessAccelerator::offload(
     result.instructions = accel_->metrics().totalInstructions;
     result.ipc = accel_->ipcSeries();
     energy::EnergyBreakdown e;
-    const energy::EnergyParams &p = config_.energy;
     Tick window = end - result.startedAt;
     for (std::uint32_t i = 0; i < traces.size(); ++i) {
         const accel::PeStats &s = accel_->agent(i).peStats();
@@ -276,7 +276,7 @@ OffloadResult
 DramLessAccelerator::offload(const workload::WorkloadSpec &spec,
                              std::uint64_t input_base)
 {
-    std::uint32_t agents = config_.numPes - 1;
+    const std::uint32_t agents = accel_->numAgents();
     std::vector<std::unique_ptr<workload::AgentTraceSource>> owned;
     const accel::KernelLaunch launch = systems::agentLaunch(
         *workload::modelFor(spec), nodeOptions(config_),

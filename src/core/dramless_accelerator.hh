@@ -35,11 +35,13 @@ namespace dramless
 namespace core
 {
 
-/** Facade construction parameters. */
+/**
+ * Facade construction parameters. The machine is the paper
+ * platform's: eight PEs including the server, IPC/power sampled every
+ * 20 us, and energy billed at EnergyParams::paperDefault().
+ */
 struct DramLessConfig
 {
-    /** PEs including the server (paper platform: 8). */
-    std::uint32_t numPes = 8;
     /** PRAM scheduler (Figure 13 "Final" by default). */
     ctrl::SchedulerConfig scheduler =
         ctrl::SchedulerConfig::finalConfig();
@@ -47,11 +49,6 @@ struct DramLessConfig
     bool wearLeveling = false;
     /** Keep functional backing stores (required for data access). */
     bool functional = true;
-    /** IPC/power sampling period. */
-    Tick sampleInterval = fromUs(20);
-    /** Energy parameters. */
-    energy::EnergyParams energy =
-        energy::EnergyParams::paperDefault();
 };
 
 /** Result of one kernel offload. */
@@ -98,7 +95,8 @@ class DramLessAccelerator
     /**
      * Host-initiated timed write: the host pushes @p size bytes over
      * PCIe to the server, which programs them into the PRAM at
-     * @p addr. Returns once the data is durable.
+     * @p addr. Returns once the data is durable. @p addr and @p size
+     * must be 32-byte aligned and @p size nonzero.
      */
     void writeData(std::uint64_t addr, const void *src,
                    std::uint64_t size);
@@ -106,7 +104,8 @@ class DramLessAccelerator
     /**
      * Host-initiated timed read: the server reads @p size bytes at
      * @p addr from the PRAM and pushes them over PCIe to the host.
-     * Returns once the data has reached the host.
+     * Returns once the data has reached the host. Same alignment and
+     * size rules as writeData().
      */
     void readData(std::uint64_t addr, void *dst, std::uint64_t size);
 

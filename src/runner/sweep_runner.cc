@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -19,18 +20,6 @@ namespace runner
 {
 
 SweepJob
-makeJob(systems::SystemKind kind, const workload::WorkloadSpec &spec,
-        const systems::SystemOptions &opts)
-{
-    return SweepJob{
-        systems::SystemFactory::label(kind), spec.name,
-        [kind, spec, opts]() {
-            auto sys = systems::SystemFactory::create(kind, opts);
-            return sys->run(spec);
-        }};
-}
-
-SweepJob
 makeJob(systems::SystemKind kind,
         std::shared_ptr<const workload::WorkloadModel> model,
         const systems::SystemOptions &opts)
@@ -45,44 +34,17 @@ makeJob(systems::SystemKind kind,
 }
 
 std::vector<SweepJob>
-makeMatrixJobs(const std::vector<systems::SystemKind> &kinds,
-               const std::vector<workload::WorkloadSpec> &specs,
-               const systems::SystemOptions &opts)
-{
-    std::vector<SweepJob> jobs;
-    jobs.reserve(kinds.size() * specs.size());
-    for (systems::SystemKind kind : kinds)
-        for (const auto &spec : specs)
-            jobs.push_back(makeJob(kind, spec, opts));
-    return jobs;
-}
-
-std::vector<SweepJob>
 makeMatrixJobs(
     const std::vector<systems::SystemKind> &kinds,
     const std::vector<std::shared_ptr<const workload::WorkloadModel>>
         &models,
     const systems::SystemOptions &opts)
 {
-    // Scale each model once for the whole sweep, not once per run (a
-    // graph's scaled() draws a new graph), and run the jobs at scale
-    // 1. scaled() keeps the name, so every label and result is the
-    // per-run path's.
-    systems::SystemOptions run_opts = opts;
-    run_opts.workloadScale = 1.0;
-    std::vector<std::shared_ptr<const workload::WorkloadModel>> scaled;
-    scaled.reserve(models.size());
-    for (const auto &model : models) {
-        fatal_if(!model, "makeMatrixJobs: null workload model");
-        scaled.push_back(opts.workloadScale == 1.0
-                             ? model
-                             : model->scaled(opts.workloadScale));
-    }
     std::vector<SweepJob> jobs;
-    jobs.reserve(kinds.size() * scaled.size());
+    jobs.reserve(kinds.size() * models.size());
     for (systems::SystemKind kind : kinds)
-        for (const auto &model : scaled)
-            jobs.push_back(makeJob(kind, model, run_opts));
+        for (const auto &model : models)
+            jobs.push_back(makeJob(kind, model, opts));
     return jobs;
 }
 
@@ -129,6 +91,28 @@ shardsFromEnv()
         return 1;
     }
     return unsigned(v);
+}
+
+double
+scaleFromEnv(double fallback)
+{
+    const char *env = std::getenv("DRAMLESS_SCALE");
+    if (env == nullptr)
+        return fallback;
+    // A typo must not run at some other scale: require the whole
+    // string to be one finite positive number.
+    char *end = nullptr;
+    errno = 0;
+    double v = std::strtod(env, &end);
+    bool parsed = end != env && *end == '\0' && errno != ERANGE &&
+                  std::isfinite(v) && v > 0.0;
+    if (!parsed) {
+        warn("ignoring DRAMLESS_SCALE='%s' (not a positive number); "
+             "using %g",
+             env, fallback);
+        return fallback;
+    }
+    return v;
 }
 
 SweepRunner::SweepRunner(unsigned num_workers) : numWorkers_(num_workers)

@@ -47,28 +47,19 @@ struct SweepJob
     std::function<systems::RunResult()> run;
 };
 
-/** Build the canonical job for (kind, spec) under @p opts. */
-SweepJob makeJob(systems::SystemKind kind,
-                 const workload::WorkloadSpec &spec,
-                 const systems::SystemOptions &opts);
-
-/** Build the job running @p model (shared, immutable) on @p kind. */
+/**
+ * Build the job running @p model (shared, immutable) on @p kind. The
+ * job runs the model at the volume it has: a caller that wants a
+ * smaller run scales the model (WorkloadModel::scaled) once, first.
+ */
 SweepJob
 makeJob(systems::SystemKind kind,
         std::shared_ptr<const workload::WorkloadModel> model,
         const systems::SystemOptions &opts);
 
-/** Cross product @p kinds x @p specs in row-major (kind-major) order. */
-std::vector<SweepJob>
-makeMatrixJobs(const std::vector<systems::SystemKind> &kinds,
-               const std::vector<workload::WorkloadSpec> &specs,
-               const systems::SystemOptions &opts);
-
 /**
- * Cross product over workload models (Polybench, graphs, ...). Each
- * model is scaled by @p opts.workloadScale once, here, and its jobs
- * run the scaled copy at scale 1; labels and results equal those of
- * makeJob() on every pair.
+ * Cross product @p kinds x @p models (Polybench, graphs, ...) in
+ * row-major (kind-major) order: makeJob() on every pair.
  */
 std::vector<SweepJob>
 makeMatrixJobs(
@@ -94,6 +85,14 @@ unsigned jobsFromEnv();
  * with a warn() and fall back to the serial kernel.
  */
 unsigned shardsFromEnv();
+
+/**
+ * Workload volume scale taken from the DRAMLESS_SCALE environment
+ * variable; unset means @p fallback. The value must be one fully
+ * formed positive number: anything else ("abc", "0.5x", "0", "-1",
+ * "") is rejected with a warn() and falls back to @p fallback.
+ */
+double scaleFromEnv(double fallback);
 
 /** Thread-pool executor for SweepJob lists. */
 class SweepRunner

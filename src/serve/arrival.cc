@@ -138,15 +138,5 @@ MmppArrivals::generate() const
     return out;
 }
 
-TraceArrivals::TraceArrivals(std::vector<Request> trace)
-    : trace_(std::move(trace))
-{
-    for (std::size_t i = 0; i < trace_.size(); ++i) {
-        fatal_if(i > 0 && trace_[i].arrival < trace_[i - 1].arrival,
-                 "arrival trace not sorted at index %zu", i);
-        trace_[i].id = i;
-    }
-}
-
 } // namespace serve
 } // namespace dramless

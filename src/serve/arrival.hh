@@ -11,11 +11,10 @@
  * threads later execute anything, so serving results are exactly
  * reproducible (the property the determinism suite pins).
  *
- * Three processes cover the evaluation space: Poisson (memoryless
- * open-loop traffic), a two-state MMPP (bursty traffic alternating
- * between a quiet and a burst rate, the standard bursty-arrival
- * model) and trace replay (explicit schedules, e.g. recorded from
- * production or handcrafted by tests).
+ * Two processes cover the evaluation space: Poisson (memoryless
+ * open-loop traffic) and a two-state MMPP (bursty traffic
+ * alternating between a quiet and a burst rate, the standard
+ * bursty-arrival model).
  */
 
 #ifndef DRAMLESS_SERVE_ARRIVAL_HH
@@ -128,24 +127,6 @@ class MmppArrivals : public ArrivalProcess
   private:
     ArrivalConfig config_;
     Burst burst_;
-};
-
-/** Replay of an explicit schedule (a trace). */
-class TraceArrivals : public ArrivalProcess
-{
-  public:
-    /**
-     * @param trace requests sorted by non-decreasing arrival tick;
-     * ids are rewritten to schedule order. fatal() on an unsorted
-     * trace.
-     */
-    explicit TraceArrivals(std::vector<Request> trace);
-
-    const char *name() const override { return "trace"; }
-    std::vector<Request> generate() const override { return trace_; }
-
-  private:
-    std::vector<Request> trace_;
 };
 
 } // namespace serve

@@ -216,15 +216,6 @@ JsonWriter::null()
 }
 
 void
-write(JsonWriter &w, const stats::Scalar &s)
-{
-    w.beginObject();
-    w.keyValue("name", s.name());
-    w.keyValue("value", s.value());
-    w.endObject();
-}
-
-void
 write(JsonWriter &w, const stats::Average &a)
 {
     w.beginObject();

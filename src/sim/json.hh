@@ -98,8 +98,6 @@ class JsonWriter
 
 /** @name JSON serialization of the stats primitives @{ */
 
-/** Scalar -> {"name":..,"value":..}. */
-void write(JsonWriter &w, const stats::Scalar &s);
 /** Average -> {"name","mean","sum","count","min","max"}. */
 void write(JsonWriter &w, const stats::Average &a);
 /**

@@ -2,8 +2,8 @@
  * @file
  * Lightweight statistics package.
  *
- * Components declare named statistics (scalars, averages, histograms,
- * time series) and export them through their owners' stats structs.
+ * Components declare named statistics (averages, histograms, time
+ * series) and export them through their owners' stats structs.
  */
 
 #ifndef DRAMLESS_SIM_STATS_HH
@@ -20,35 +20,6 @@ namespace dramless
 {
 namespace stats
 {
-
-/** A plain accumulating counter. */
-class Scalar
-{
-  public:
-    Scalar() = default;
-    explicit Scalar(std::string name, std::string desc = "")
-        : name_(std::move(name)), desc_(std::move(desc))
-    {}
-
-    Scalar &operator+=(double v) { value_ += v; return *this; }
-    Scalar &operator-=(double v) { value_ -= v; return *this; }
-    Scalar &operator++() { value_ += 1.0; return *this; }
-
-    /** Overwrite the current value. */
-    void set(double v) { value_ = v; }
-    /** @return the accumulated value. */
-    double value() const { return value_; }
-    /** Reset to zero. */
-    void reset() { value_ = 0.0; }
-
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
-  private:
-    std::string name_;
-    std::string desc_;
-    double value_ = 0.0;
-};
 
 /** Mean/min/max over a stream of samples. */
 class Average

@@ -27,23 +27,6 @@ SystemFactory::label(SystemKind kind)
     return info(kind).label;
 }
 
-std::optional<SystemKind>
-SystemFactory::fromLabel(const std::string &label)
-{
-    static const SystemKind all[] = {
-        SystemKind::hetero,        SystemKind::heterodirect,
-        SystemKind::heteroPram,    SystemKind::heterodirectPram,
-        SystemKind::norIntf,       SystemKind::integratedSlc,
-        SystemKind::integratedMlc, SystemKind::integratedTlc,
-        SystemKind::pageBuffer,    SystemKind::dramLess,
-        SystemKind::dramLessFirmware, SystemKind::ideal,
-    };
-    for (SystemKind kind : all)
-        if (label == SystemFactory::label(kind))
-            return kind;
-    return std::nullopt;
-}
-
 SystemInfo
 SystemFactory::info(SystemKind kind)
 {

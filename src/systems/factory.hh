@@ -8,8 +8,6 @@
 #define DRAMLESS_SYSTEMS_FACTORY_HH
 
 #include <memory>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "systems/hetero_system.hh"
@@ -62,15 +60,6 @@ class SystemFactory
 
     /** @return the label of @p kind. */
     static const char *label(SystemKind kind);
-
-    /**
-     * @return the kind whose Table I label equals @p label
-     * ("Hetero", "DRAM-less", ...), or std::nullopt for an unknown
-     * label. The inverse of label(), for environment-variable
-     * organization selection in the bench binaries.
-     */
-    static std::optional<SystemKind>
-    fromLabel(const std::string &label);
 
     /** @return Table I's row for @p kind. */
     static SystemInfo info(SystemKind kind);

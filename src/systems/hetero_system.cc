@@ -155,7 +155,7 @@ HeteroSystem::doRun(const workload::WorkloadModel &model)
                 // 4. Execute this chunk's kernels.
                 accel.invalidateAgentCaches();
                 accel::KernelLaunch launch;
-                launch.imageBytes = opts_.imageBytes;
+                launch.imageBytes = kernelImageBytes;
                 launch.imageBase = image_base;
                 launch.imageResident = chunk > 0;
                 // Traditional offload re-coordinates the kernels for
@@ -254,22 +254,21 @@ HeteroSystem::doRun(const workload::WorkloadModel &model)
     res.ipc = ipc_all;
 
     // ---------------------------- energy ---------------------------
+    const energy::EnergyParams p = energy::EnergyParams::paperDefault();
     energy::EnergyBreakdown e;
-    e += accelCoreEnergy(accel, 0, end_tick, agents, opts_.energy);
-    e += hostEnergy(stack, opts_.energy);
+    e += accelCoreEnergy(accel, 0, end_tick, agents, p);
+    e += hostEnergy(stack, p);
     // The host stays resident for the whole heterogeneous run,
     // coordinating chunk movement and kernel scheduling.
-    e.hostStack += energy::wattsOver(
-        opts_.energy.hostCoordinationWatts, end_tick);
-    e += pcieEnergy(pcie, opts_.energy);
-    e += ssdEnergy(ssd, end_tick, opts_.energy);
+    e.hostStack += energy::wattsOver(p.hostCoordinationWatts, end_tick);
+    e += pcieEnergy(pcie, p);
+    e += ssdEnergy(ssd, end_tick, p);
     e += dramEnergy(dram.bytesMoved() +
                         2 * spec.totalBytes(), // staging copies
-                    dram.capacity(), end_tick, opts_.energy);
+                    dram.capacity(), end_tick, p);
     res.energy = e;
 
     stats::TimeSeries power("corePowerW");
-    const energy::EnergyParams &p = opts_.energy;
     for (const auto &pt : act_all.samples()) {
         double watts = double(agents) *
                            (pt.value * p.peActiveWatts +

@@ -130,7 +130,7 @@ IntegratedSystem::doRun(const workload::WorkloadModel &model)
         backend = nor.get();
     } else if (kind_ == IntegratedKind::ideal) {
         DramBackend::Config dcfg;
-        dcfg.capacityBytes = map.image + opts_.imageBytes + (1 << 20);
+        dcfg.capacityBytes = map.image + kernelImageBytes + (1 << 20);
         dram = std::make_unique<DramBackend>(eq_, dcfg, "dram");
         backend = dram.get();
     } else {
@@ -213,7 +213,7 @@ IntegratedSystem::doRun(const workload::WorkloadModel &model)
     host::PcieLink pcie(eq_, host::PcieConfig{}, "pcie");
     Tick prep = stack.dmaSetupCost();
     Tick image_at_accel =
-        pcie.transfer(opts_.imageBytes,
+        pcie.transfer(kernelImageBytes,
                       std::max(prep, storage_ready));
 
     bool done = false;
@@ -282,32 +282,31 @@ IntegratedSystem::doRun(const workload::WorkloadModel &model)
     }
 
     // ---------------------------- energy ---------------------------
+    const energy::EnergyParams p = energy::EnergyParams::paperDefault();
     energy::EnergyBreakdown e;
-    e += accelCoreEnergy(accel, 0, end_tick, agents, opts_.energy);
-    e += hostEnergy(stack, opts_.energy);
-    e += pcieEnergy(pcie, opts_.energy);
+    e += accelCoreEnergy(accel, 0, end_tick, agents, p);
+    e += hostEnergy(stack, p);
+    e += pcieEnergy(pcie, p);
     if (pram)
-        e += pramEnergy(*pram, end_tick, opts_.energy);
+        e += pramEnergy(*pram, end_tick, p);
     if (fw_backend) {
         e.controller += energy::wattsOver(
-            opts_.energy.ssdControllerWatts,
-            fw_backend->firmware().busyTicks());
+            p.ssdControllerWatts, fw_backend->firmware().busyTicks());
     }
     if (ssd)
-        e += ssdEnergy(*ssd, end_tick, opts_.energy);
+        e += ssdEnergy(*ssd, end_tick, p);
     if (nor)
-        e += norEnergy(*nor, opts_.energy);
+        e += norEnergy(*nor, p);
     if (dram) {
         e += dramEnergy(dram->bytesMoved(), dram->capacity(),
-                        end_tick, opts_.energy);
+                        end_tick, p);
         // The ideal reference of Figure 1 is the conventional
         // platform with boundless accelerator DRAM: its host still
         // exists and idles for the duration of the run.
-        e.hostStack += energy::wattsOver(
-            opts_.energy.hostIdleWatts, end_tick);
+        e.hostStack += energy::wattsOver(p.hostIdleWatts, end_tick);
     }
     res.energy = e;
-    res.corePower = corePowerSeries(accel, agents, opts_.energy);
+    res.corePower = corePowerSeries(accel, agents, p);
     res.cumulativeEnergy = cumulativeEnergySeries(
         res.corePower, e.total(), 0, end_tick);
     return res;

@@ -61,7 +61,7 @@ agentLaunch(const workload::WorkloadModel &model,
     const std::uint32_t agents = opts.numPes - 1;
     traces.clear();
     accel::KernelLaunch launch;
-    launch.imageBytes = opts.imageBytes;
+    launch.imageBytes = kernelImageBytes;
     launch.imageBase = map.image;
     for (std::uint32_t i = 0; i < agents; ++i) {
         workload::AgentTraceParams tp;

@@ -62,7 +62,7 @@ AddressMap addressMap(const workload::WorkloadSpec &spec,
  * Build one trace of @p model per agent (numPes - 1) over @p map,
  * each behind the coalescing layer at opts.coalesceBytes, into
  * @p traces (replacing its contents), and @return the launch that
- * runs them with an opts.imageBytes image at map.image and each
+ * runs them with a kernelImageBytes image at map.image and each
  * agent's output region as a selective-erasing hint. The launch
  * points into @p traces, which must outlive it.
  */

@@ -13,7 +13,6 @@
 #include "accel/accelerator.hh"
 #include "pram/geometry.hh"
 #include "reliability/fault_model.hh"
-#include "energy/energy_model.hh"
 #include "sim/event_queue.hh"
 #include "sim/trace.hh"
 #include "systems/metrics.hh"
@@ -25,23 +24,23 @@ namespace dramless
 namespace systems
 {
 
-/** Options shared by every system model. */
+/** Kernel image size shipped per launch (TI C66x kernel code
+ *  segments are compact). */
+constexpr std::uint64_t kernelImageBytes = 16 * 1024;
+
+/**
+ * Options shared by every system model. The workload is not one of
+ * them: a caller scales the model it runs (WorkloadModel::scaled)
+ * once, before handing it to run().
+ */
 struct SystemOptions
 {
-    /** Scale factor applied to workload data volumes. */
-    double workloadScale = 1.0;
     /** PEs including the server. */
     std::uint32_t numPes = 8;
     /** RNG seed for workload traces. */
     std::uint64_t seed = 1;
-    /** Energy parameters. */
-    energy::EnergyParams energy =
-        energy::EnergyParams::paperDefault();
     /** IPC/power sampling period. */
     Tick sampleInterval = fromUs(20);
-    /** Kernel image size shipped per launch (TI C66x kernel code
-     *  segments are compact). */
-    std::uint64_t imageBytes = 16 * 1024;
     /** Override the PRAM geometry (ablation studies). */
     std::optional<pram::PramGeometry> geometryOverride;
     /** Keep functional backing stores (slower, data-checked). */
@@ -87,38 +86,26 @@ class AcceleratedSystem
 
     virtual ~AcceleratedSystem() = default;
 
-    /** Execute @p model end-to-end and return the run's metrics. */
+    /** Execute @p model, at the volume it has, end-to-end and
+     *  return the run's metrics. */
     RunResult
     run(const workload::WorkloadModel &model)
     {
-        std::shared_ptr<const workload::WorkloadModel> scaled;
-        const workload::WorkloadModel *m = &model;
-        if (opts_.workloadScale != 1.0) {
-            scaled = model.scaled(opts_.workloadScale);
-            m = scaled.get();
-        }
         trace::Span runSpan(trace::catSystem, name_, "run",
                             eq_.curTick());
-        RunResult result = doRun(*m);
+        RunResult result = doRun(model);
         runSpan.finish(eq_.curTick());
         result.system = name_;
         result.workload = model.spec().name;
-        result.bytesProcessed = m->spec().totalBytes();
+        result.bytesProcessed = model.spec().totalBytes();
         result.eventsProcessed = eq_.numProcessed();
         if (result.execTime > 0) {
             result.bandwidthMBps =
-                double(m->spec().totalBytes()) /
+                double(model.spec().totalBytes()) /
                 (double(result.execTime) / double(tickPerSec)) /
                 1e6;
         }
         return result;
-    }
-
-    /** Convenience overload: run the Polybench generator on @p spec. */
-    RunResult
-    run(const workload::WorkloadSpec &spec)
-    {
-        return run(*workload::modelFor(spec));
     }
 
     const std::string &name() const { return name_; }

@@ -276,6 +276,18 @@ TEST_F(FacadeTest, DeathOnMisalignedAccess)
     EXPECT_DEATH(dl.readBackImage(), "no image");
 }
 
+TEST_F(FacadeTest, DeathOnZeroByteTransfer)
+{
+    // Size 0 passes the alignment check; it must be refused there,
+    // not reach the PCIe link or the event loop.
+    DramLessAccelerator dl(quickConfig());
+    std::uint8_t b[32];
+    EXPECT_EXIT(dl.writeData(0, b, 0), ::testing::ExitedWithCode(1),
+                "writeData of zero bytes");
+    EXPECT_EXIT(dl.readData(0, b, 0), ::testing::ExitedWithCode(1),
+                "readData of zero bytes");
+}
+
 /** Render one offload as stable "label key value" lines. */
 void
 emitOffload(std::ostringstream &os, const char *label,

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "ctrl/channel_controller.hh"
+#include "reliability/fault_model.hh"
 #include "sim/random.hh"
 
 namespace dramless
@@ -62,17 +63,30 @@ class SchedulerParamTest
     }
 
     /**
-     * Randomized traffic on a channel of @p modules modules: 1-3 word
-     * requests, channel-width aligned requests (full-width gangs under
-     * interleaving), all-zero words and hinted future-write ranges
-     * (zero-fills under selective erasing), with selfCheck() after
+     * Randomized traffic on a channel of @p modules modules, with
+     * fault injection when @p rel is enabled, and selfCheck() after
      * every event. Every word must end as the last write left it; a
      * hinted word no later write covered may also read zero.
+     *
+     * A gang phase comes first: channel-width aligned requests only
+     * (full-width gangs under interleaving), so every module sees the
+     * same actions. The lockstep set starts whole; all-zero members
+     * (RESET-only programs) and verify failures split it at a gang's
+     * execute, and it re-forms once their programs are done. The
+     * phase comes first because gang traffic after mixed traffic
+     * would not re-form the set: a module then picks its least
+     * recently used row buffer by its own history, and the set
+     * compares row buffers index by index. The mixed phase that
+     * follows also sends 1-3 word requests, all-zero words and
+     * hinted future-write ranges (zero-fills under selective
+     * erasing).
      */
     void
-    randomTraffic(std::uint32_t modules)
+    randomTraffic(std::uint32_t modules,
+                  const reliability::ReliabilityConfig &rel = {})
     {
         auto ctl = make(modules);
+        ctl->configureReliability(rel, 0);
         Random rng(31337);
         const std::uint64_t words = 24 * modules;
         std::vector<std::uint8_t> shadow(words * 32, 0);
@@ -82,21 +96,23 @@ class SchedulerParamTest
         std::vector<bool> may_be_zero(words, false);
 
         std::vector<std::vector<std::uint8_t>> bufs;
-        for (int i = 0; i < 150; ++i) {
-            if (i % 16 == 15)
-                drain(*ctl);
+        auto send = [&](bool gang_only) {
             if (rng.chance(0.15)) {
-                const std::uint64_t w = rng.below(words);
-                const std::uint64_t n = std::min<std::uint64_t>(
+                std::uint64_t w = rng.below(words);
+                std::uint64_t n = std::min<std::uint64_t>(
                     rng.between(1, 2 * modules), words - w);
+                if (gang_only) {
+                    w = w / modules * modules;
+                    n = modules;
+                }
                 ctl->hintFutureWrite(w * 32, n * 32);
                 for (std::uint64_t k = w; k < w + n; ++k)
                     may_be_zero[k] = true;
-                continue;
+                return;
             }
             std::uint64_t w;
             std::uint64_t n;
-            if (rng.chance(0.4)) {
+            if (gang_only || rng.chance(0.4)) {
                 w = rng.below(words / modules) * modules;
                 n = modules;
             } else {
@@ -126,6 +142,16 @@ class SchedulerParamTest
                 req.kind = ReqKind::read;
             }
             ctl->enqueue(req);
+        };
+        for (int i = 0; i < 60; ++i) {
+            if (i % 4 == 3)
+                drain(*ctl);
+            send(true);
+        }
+        for (int i = 0; i < 150; ++i) {
+            if (i % 16 == 15)
+                drain(*ctl);
+            send(false);
         }
         drain(*ctl);
         EXPECT_TRUE(ctl->idle());
@@ -133,6 +159,9 @@ class SchedulerParamTest
         const ControllerStats &st = ctl->ctrlStats();
         EXPECT_EQ(st.gangSubOps > 0, GetParam().interleaving);
         EXPECT_EQ(st.zeroFillPrograms > 0, GetParam().selectiveErasing);
+        EXPECT_EQ(st.verifyRetries > 0, rel.enabled);
+        for (const MemResponse &r : completions)
+            EXPECT_FALSE(r.failed) << "request " << r.id;
 
         std::vector<std::uint8_t> out(shadow.size());
         ctl->functionalRead(0, out.data(), out.size());
@@ -159,6 +188,17 @@ TEST_P(SchedulerParamTest, RandomTrafficFunctionalIntegrity)
 TEST_P(SchedulerParamTest, RandomTrafficOnSixteenModules)
 {
     randomTraffic(16);
+}
+
+TEST_P(SchedulerParamTest, RandomTrafficWithVerifyRetries)
+{
+    // Verify failures re-pulse the failing members of a gang only.
+    reliability::ReliabilityConfig rel;
+    rel.enabled = true;
+    rel.seed = 11;
+    rel.writeFailProb = 0.05;
+    rel.maxProgramRetries = 3;
+    randomTraffic(4, rel);
 }
 
 TEST_P(SchedulerParamTest, EveryRequestCompletesExactlyOnce)

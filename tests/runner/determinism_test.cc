@@ -31,14 +31,23 @@ using runner::SweepRunner;
 using systems::RunResult;
 using systems::SystemKind;
 
-/** Tiny but non-trivial configuration for fast runs. */
+/** Default options, with the simulator's log quieted. */
 systems::SystemOptions
-tinyOptions()
+quietOptions()
 {
     setQuiet(true);
-    systems::SystemOptions opts;
-    opts.workloadScale = 0.02;
-    return opts;
+    return systems::SystemOptions{};
+}
+
+/** Scale of the tiny but non-trivial runs. */
+constexpr double kTinyScale = 0.02;
+
+/** Polybench kernel @p name at kTinyScale. */
+std::shared_ptr<const workload::WorkloadModel>
+tinyModel(const char *name)
+{
+    return workload::modelFor(workload::Polybench::byName(name))
+        ->scaled(kTinyScale);
 }
 
 /** A small mixed job list covering three organizations. */
@@ -50,12 +59,10 @@ sampleJobs()
         SystemKind::integratedSlc,
         SystemKind::hetero,
     };
-    std::vector<workload::WorkloadSpec> specs = {
-        workload::Polybench::byName("gemver"),
-        workload::Polybench::byName("doitg"),
-        workload::Polybench::byName("trmm"),
-    };
-    return runner::makeMatrixJobs(kinds, specs, tinyOptions());
+    return runner::makeMatrixJobs(
+        kinds,
+        {tinyModel("gemver"), tinyModel("doitg"), tinyModel("trmm")},
+        quietOptions());
 }
 
 void
@@ -109,14 +116,14 @@ expectResultIdentical(const RunResult &a, const RunResult &b)
 
 TEST(DeterminismTest, RepeatedSerialRunsAreBitIdentical)
 {
-    auto opts = tinyOptions();
-    const auto &spec = workload::Polybench::byName("gemver");
+    auto opts = quietOptions();
+    const auto model = tinyModel("gemver");
     auto a = systems::SystemFactory::create(SystemKind::dramLess,
                                             opts)
-                 ->run(spec);
+                 ->run(*model);
     auto b = systems::SystemFactory::create(SystemKind::dramLess,
                                             opts)
-                 ->run(spec);
+                 ->run(*model);
     expectResultIdentical(a, b);
 }
 
@@ -125,19 +132,19 @@ TEST(DeterminismTest, FaultInjectionIsSeedDeterministic)
     // A fixed fault seed with a nonzero error rate must reproduce
     // bit-identically — including every reliability counter — and
     // must actually exercise the retry machinery.
-    auto opts = tinyOptions();
+    auto opts = quietOptions();
     opts.wearLeveling = true;
     opts.gapMovePeriod = 50;
     opts.reliability.enabled = true;
     opts.reliability.seed = 42;
     opts.reliability.writeFailProb = 0.05;
-    const auto &spec = workload::Polybench::byName("gemver");
+    const auto model = tinyModel("gemver");
     auto a = systems::SystemFactory::create(SystemKind::dramLess,
                                             opts)
-                 ->run(spec);
+                 ->run(*model);
     auto b = systems::SystemFactory::create(SystemKind::dramLess,
                                             opts)
-                 ->run(spec);
+                 ->run(*model);
     expectResultIdentical(a, b);
     EXPECT_GT(a.reliability.verifyRetries, 0u);
     EXPECT_GT(a.reliability.maxLineWear, 0u);
@@ -146,11 +153,10 @@ TEST(DeterminismTest, FaultInjectionIsSeedDeterministic)
 
 TEST(DeterminismTest, InjectionDisabledReportsAllZeroOutcome)
 {
-    auto opts = tinyOptions();
-    const auto &spec = workload::Polybench::byName("doitg");
+    auto opts = quietOptions();
     auto r = systems::SystemFactory::create(SystemKind::dramLess,
                                             opts)
-                 ->run(spec);
+                 ->run(*tinyModel("doitg"));
     EXPECT_EQ(r.reliability.verifyRetries, 0u);
     EXPECT_EQ(r.reliability.failedWrites, 0u);
     EXPECT_EQ(r.reliability.badLineRemaps, 0u);
@@ -178,13 +184,18 @@ TEST(DeterminismTest, ParallelSweepMatchesSerialSweep)
     }
 }
 
-/** Forwards to a wrapped model and counts its scaled() calls. */
+/**
+ * Forwards to a wrapped model and counts scaled() calls, on it and on
+ * every copy scaled from it: the copies share one counter.
+ */
 class ScaleCountingModel : public workload::WorkloadModel
 {
   public:
     explicit ScaleCountingModel(
-        std::shared_ptr<const workload::WorkloadModel> inner)
-        : inner_(std::move(inner))
+        std::shared_ptr<const workload::WorkloadModel> inner,
+        std::shared_ptr<std::atomic<int>> calls =
+            std::make_shared<std::atomic<int>>(0))
+        : inner_(std::move(inner)), calls_(std::move(calls))
     {}
 
     const workload::WorkloadSpec &
@@ -196,8 +207,9 @@ class ScaleCountingModel : public workload::WorkloadModel
     std::shared_ptr<const workload::WorkloadModel>
     scaled(double factor) const override
     {
-        ++scaledCalls;
-        return inner_->scaled(factor);
+        ++*calls_;
+        return std::make_shared<ScaleCountingModel>(
+            inner_->scaled(factor), calls_);
     }
 
     std::shared_ptr<const workload::WorkloadModel>
@@ -212,15 +224,18 @@ class ScaleCountingModel : public workload::WorkloadModel
         return inner_->makeAgentTrace(p);
     }
 
-    mutable std::atomic<int> scaledCalls{0};
+    int scaledCalls() const { return calls_->load(); }
 
   private:
     std::shared_ptr<const workload::WorkloadModel> inner_;
+    std::shared_ptr<std::atomic<int>> calls_;
 };
 
 TEST(DeterminismTest, ModelMatrixScalesEachModelOnce)
 {
-    const auto opts = tinyOptions();
+    // The caller scales each model once; neither the matrix nor the
+    // runs scale it again, and each job equals makeJob() on its pair.
+    const auto opts = quietOptions();
     const std::vector<SystemKind> kinds = {
         SystemKind::dramLess,
         SystemKind::integratedSlc,
@@ -235,15 +250,12 @@ TEST(DeterminismTest, ModelMatrixScalesEachModelOnce)
         std::make_shared<ScaleCountingModel>(workload::modelFor(
             workload::Polybench::byName("gemver"))),
     };
-    const std::vector<std::shared_ptr<const workload::WorkloadModel>>
-        models(counted.begin(), counted.end());
+    std::vector<std::shared_ptr<const workload::WorkloadModel>> models;
+    for (const auto &m : counted)
+        models.push_back(m->scaled(kTinyScale));
 
     auto jobs = runner::makeMatrixJobs(kinds, models, opts);
     auto results = SweepRunner(2).run(jobs);
-    for (const auto &m : counted)
-        EXPECT_EQ(m->scaledCalls.load(), 1) << m->spec().name;
-
-    // The per-run path scales the model inside every run.
     std::size_t i = 0;
     for (SystemKind kind : kinds) {
         for (const auto &m : models) {
@@ -254,6 +266,8 @@ TEST(DeterminismTest, ModelMatrixScalesEachModelOnce)
             ++i;
         }
     }
+    for (const auto &m : counted)
+        EXPECT_EQ(m->scaledCalls(), 1) << m->spec().name;
 }
 
 TEST(DeterminismTest, DramlessJobsEnvSelectsWorkerCount)
@@ -319,17 +333,16 @@ TEST(DeterminismTest, ResultsKeepJobOrderRegardlessOfFinishOrder)
 {
     // Mix fast and slow jobs so completion order differs from
     // submission order under parallel execution.
-    auto opts = tinyOptions();
+    auto opts = quietOptions();
     std::vector<SweepJob> jobs;
-    jobs.push_back(runner::makeJob(
-        SystemKind::norIntf, workload::Polybench::byName("durbin"),
-        opts)); // slowest organization
-    jobs.push_back(runner::makeJob(
-        SystemKind::ideal, workload::Polybench::byName("trisolv"),
-        opts)); // fastest
-    jobs.push_back(runner::makeJob(
-        SystemKind::dramLess, workload::Polybench::byName("jaco1D"),
-        opts));
+    jobs.push_back(runner::makeJob(SystemKind::norIntf,
+                                   tinyModel("durbin"),
+                                   opts)); // slowest organization
+    jobs.push_back(runner::makeJob(SystemKind::ideal,
+                                   tinyModel("trisolv"),
+                                   opts)); // fastest
+    jobs.push_back(
+        runner::makeJob(SystemKind::dramLess, tinyModel("jaco1D"), opts));
 
     auto results = SweepRunner(3).run(jobs);
     ASSERT_EQ(results.size(), 3u);

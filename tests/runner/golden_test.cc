@@ -94,22 +94,24 @@ std::string
 currentSnapshot()
 {
     setQuiet(true);
-    systems::SystemOptions opts;
-    opts.workloadScale = kGoldenScale;
+    const systems::SystemOptions opts;
 
-    std::vector<workload::WorkloadSpec> specs;
-    for (const char *name : kGoldenWorkloads)
-        specs.push_back(workload::Polybench::byName(name));
+    std::vector<std::shared_ptr<const workload::WorkloadModel>> models;
+    for (const char *name : kGoldenWorkloads) {
+        models.push_back(
+            workload::modelFor(workload::Polybench::byName(name))
+                ->scaled(kGoldenScale));
+    }
 
-    auto jobs = runner::makeMatrixJobs(kGoldenKinds, specs, opts);
+    auto jobs = runner::makeMatrixJobs(kGoldenKinds, models, opts);
     for (systems::IntegratedKind v : kGoldenVariants) {
-        for (const auto &spec : specs) {
+        for (const auto &model : models) {
             jobs.push_back(runner::SweepJob{
-                systems::integratedKindName(v), spec.name,
-                [v, spec, opts] {
+                systems::integratedKindName(v), model->spec().name,
+                [v, model, opts] {
                     return systems::SystemFactory::
                         createDramLessVariant(v, opts)
-                            ->run(spec);
+                            ->run(*model);
                 }});
         }
     }

@@ -306,5 +306,76 @@ TEST_F(ShardsFromEnvTest, GarbageFallsBackToSerial)
     }
 }
 
+/** Same strict-parsing contract for the DRAMLESS_SCALE knob: one
+ *  positive number, with the caller's default as the fallback. */
+class ScaleFromEnvTest : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+        if (const char *old = std::getenv("DRAMLESS_SCALE")) {
+            saved_ = old;
+            had_ = true;
+        }
+        setQuiet(false);
+    }
+
+    void TearDown() override
+    {
+        if (had_)
+            setenv("DRAMLESS_SCALE", saved_.c_str(), 1);
+        else
+            unsetenv("DRAMLESS_SCALE");
+        setQuiet(true);
+    }
+
+    /** @return (parsed value, captured stderr) for @p env with a
+     *  0.25 fallback. */
+    std::pair<double, std::string> parse(const char *env)
+    {
+        if (env == nullptr)
+            unsetenv("DRAMLESS_SCALE");
+        else
+            setenv("DRAMLESS_SCALE", env, 1);
+        ::testing::internal::CaptureStderr();
+        double v = runner::scaleFromEnv(0.25);
+        return {v, ::testing::internal::GetCapturedStderr()};
+    }
+
+  private:
+    std::string saved_;
+    bool had_ = false;
+};
+
+TEST_F(ScaleFromEnvTest, UnsetMeansTheFallback)
+{
+    auto [v, err] = parse(nullptr);
+    EXPECT_EQ(v, 0.25);
+    EXPECT_EQ(err, "");
+}
+
+TEST_F(ScaleFromEnvTest, ExplicitValuesParse)
+{
+    for (auto [text, want] :
+         {std::pair<const char *, double>{"0.05", 0.05},
+          {"1", 1.0},
+          {"2.5e-1", 0.25}}) {
+        auto [v, err] = parse(text);
+        EXPECT_EQ(v, want) << "input '" << text << "'";
+        EXPECT_EQ(err, "") << "input '" << text << "'";
+    }
+}
+
+TEST_F(ScaleFromEnvTest, GarbageFallsBackWithWarning)
+{
+    // atof took "0.5x" as 0.5 and "abc" as the fallback, silently.
+    for (const char *bad : {"abc", "0.5x", "0", "-1", "", "inf", "nan"}) {
+        auto [v, err] = parse(bad);
+        EXPECT_EQ(v, 0.25) << "input '" << bad << "'";
+        EXPECT_NE(err.find("DRAMLESS_SCALE"), std::string::npos)
+            << "input '" << bad << "'";
+    }
+}
+
 } // namespace
 } // namespace dramless

@@ -3,7 +3,7 @@
  * Tests of the open-loop arrival processes: schedule determinism
  * (the property the serving results' reproducibility rests on),
  * statistical sanity of the Poisson and MMPP generators, mix
- * sampling, trace replay, and config validation.
+ * sampling, and config validation.
  */
 
 #include <gtest/gtest.h>
@@ -168,30 +168,6 @@ TEST(MmppArrivalsTest, BurstierThanPoisson)
     // Modulation adds variance on top of the exponential gaps; the
     // burst stream's inter-arrival CV must visibly exceed Poisson's.
     EXPECT_GT(gapCv(mmpp), gapCv(poisson) * 1.1);
-}
-
-TEST(TraceArrivalsTest, ReplaysAndRewritesIds)
-{
-    std::vector<Request> trace(3);
-    trace[0].arrival = fromUs(10.0);
-    trace[0].id = 99; // ids in the input are ignored
-    trace[1].arrival = fromUs(10.0); // equal ticks are fine
-    trace[2].arrival = fromUs(30.0);
-    trace[2].workloadIndex = 1;
-    TraceArrivals t(trace);
-    auto s = t.generate();
-    expectWellFormed(s, 3);
-    EXPECT_EQ(s[2].workloadIndex, 1u);
-    expectIdentical(s, t.generate());
-}
-
-TEST(TraceArrivalsDeathTest, RejectsUnsortedTrace)
-{
-    std::vector<Request> trace(2);
-    trace[0].arrival = fromUs(20.0);
-    trace[1].arrival = fromUs(10.0);
-    EXPECT_EXIT(TraceArrivals{trace},
-                ::testing::ExitedWithCode(1), "not sorted");
 }
 
 TEST(ArrivalConfigDeathTest, RejectsInvalidConfigs)

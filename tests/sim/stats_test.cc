@@ -19,20 +19,6 @@ namespace stats
 namespace
 {
 
-TEST(ScalarTest, AccumulatesAndResets)
-{
-    Scalar s("s");
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-    s += 2.5;
-    ++s;
-    s -= 0.5;
-    EXPECT_DOUBLE_EQ(s.value(), 3.0);
-    s.set(10.0);
-    EXPECT_DOUBLE_EQ(s.value(), 10.0);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-}
-
 TEST(AverageTest, TracksMeanMinMax)
 {
     Average a("a");

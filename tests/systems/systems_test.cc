@@ -13,6 +13,7 @@
 #include "ctrl/pram_subsystem.hh"
 #include "systems/factory.hh"
 #include "workload/polybench.hh"
+#include "workload/workload_model.hh"
 
 namespace dramless
 {
@@ -29,10 +30,10 @@ runOne(SystemKind kind, const char *workload,
        double scale = testScale)
 {
     setQuiet(true);
-    SystemOptions opts;
-    opts.workloadScale = scale;
-    auto sys = SystemFactory::create(kind, opts);
-    return sys->run(workload::Polybench::byName(workload));
+    auto sys = SystemFactory::create(kind, SystemOptions{});
+    return sys->run(
+        *workload::modelFor(workload::Polybench::byName(workload))
+             ->scaled(scale));
 }
 
 TEST(SystemsTest, EverySystemCompletesGemver)
@@ -158,17 +159,18 @@ TEST(SystemsTest, SchedulerVariantsOrderOnWriteHeavy)
     // Figure 13: selective erasing lifts write-heavy workloads.
     setQuiet(true);
     SystemOptions opts;
-    opts.workloadScale = testScale;
     auto base = SystemFactory::createDramLessVariant(
         IntegratedKind::dramLessBareMetal, opts);
     auto sel = SystemFactory::createDramLessVariant(
         IntegratedKind::dramLessSelectiveErase, opts);
     auto final_cfg = SystemFactory::createDramLessVariant(
         IntegratedKind::dramLess, opts);
-    const auto &spec = workload::Polybench::byName("doitg");
-    RunResult rb = base->run(spec);
-    RunResult rs = sel->run(spec);
-    RunResult rf = final_cfg->run(spec);
+    const auto model =
+        workload::modelFor(workload::Polybench::byName("doitg"))
+            ->scaled(testScale);
+    RunResult rb = base->run(*model);
+    RunResult rs = sel->run(*model);
+    RunResult rf = final_cfg->run(*model);
     EXPECT_GT(rs.bandwidthMBps, rb.bandwidthMBps);
     EXPECT_GE(rf.bandwidthMBps, rb.bandwidthMBps);
 }
